@@ -11,6 +11,33 @@ from scipy.special import gammaln
 BACKEND_NAME = "python"
 
 
+def bernstein_basis(n: int, xs) -> np.ndarray:
+    """Bernstein basis on a grid: one row per x, one column per i = 1..n.
+
+    Entry (x, i) is C(n,i) * e^{-ix} * (1-e^{-x})^{n-i}, assembled in log
+    space to stay finite for large n; at x = 0 only the i = n function is
+    nonzero. The row for x dotted with the node values is the Bernstein
+    sum at x.
+    """
+    xs = np.asarray(xs, dtype=float).ravel()
+    i = np.arange(1, n + 1, dtype=float)
+    log_binom = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
+    basis = np.zeros((xs.size, n))
+    pos = xs > 0.0
+    x = xs[pos, None]
+    basis[pos] = np.exp(log_binom - i * x + (n - i) * np.log1p(-np.exp(-x)))
+    basis[~pos, n - 1] = 1.0
+    return basis
+
+
+def basis_he_ccdf(basis, node_vals, p, lam, xs):
+    """Mixture CCDF on the grid `basis` was built for (see bernstein_he_ccdf)."""
+    out = basis @ node_vals
+    if p.size:
+        out += np.exp(-np.outer(xs, lam)) @ p
+    return out
+
+
 def bernstein_he_ccdf(node_vals, p, lam, xs):
     """Closed-form mixture CCDF on a grid.
 
@@ -19,29 +46,13 @@ def bernstein_he_ccdf(node_vals, p, lam, xs):
 
         sum_i node_vals[i-1] * C(n,i) * e^{-ix} * (1-e^{-x})^{n-i}
         + sum_j p[j] * e^{-lam[j] x}
-
-    Binomial terms are assembled in log space to stay finite for large n.
     """
     node_vals = np.asarray(node_vals, dtype=float)
-    p = np.asarray(p, dtype=float)
-    lam = np.asarray(lam, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    n = node_vals.size
-    out = np.zeros(xs.shape, dtype=float)
-
-    if n > 0:
-        i = np.arange(1, n + 1, dtype=float)
-        log_binom = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
-        pos = xs > 0.0
-        if np.any(pos):
-            x = xs[pos, None]
-            log_terms = log_binom - i * x + (n - i) * np.log1p(-np.exp(-x))
-            out[pos] = np.exp(log_terms) @ node_vals
-        # At x = 0 only the i = n basis function is nonzero.
-        out[~pos] += node_vals[-1]
-    if p.size:
-        out += np.exp(-np.outer(xs, lam)) @ p
-    return out
+    out = basis_he_ccdf(bernstein_basis(node_vals.size, xs), node_vals,
+                        np.asarray(p, dtype=float),
+                        np.asarray(lam, dtype=float), xs)
+    return out.reshape(xs.shape)
 
 
 def lindley_waits(increments):

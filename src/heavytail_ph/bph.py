@@ -63,13 +63,12 @@ def build_from_cdf(F, n: int) -> BphComponent:
     return _component_from_diffs(n, upper - vals)
 
 
-def build_from_ccdf(Fbar, n: int) -> BphComponent:
-    """CCDF twin of build_from_cdf; accepts defective evaluators (Fbar(0) < 1)."""
-    pts = grid_points(n)
-    fbar_inf = float(Fbar(math.inf))
-    vals = np.array([float(Fbar(x)) for x in pts])
-    lower = np.concatenate(([fbar_inf], vals[:-1]))
-    return _component_from_diffs(n, vals - lower)
+def build_from_ccdf(values, at_inf: float) -> BphComponent:
+    """CCDF twin of build_from_cdf, from the values at grid_points(n) and
+    the value at +inf; accepts defective functions (value < 1 at 0)."""
+    vals = np.asarray(values, dtype=float)
+    lower = np.concatenate(([float(at_inf)], vals[:-1]))
+    return _component_from_diffs(vals.size, vals - lower)
 
 
 def _component_from_diffs(n: int, diffs: np.ndarray) -> BphComponent:

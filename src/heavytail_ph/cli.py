@@ -22,8 +22,7 @@ from . import __version__, fitting, phmodel, queueing, simqueue
 from . import targets as targets_mod
 from .errors import (InvalidModelError, NonConvergenceError,
                      UnstableQueueError)
-from .hybrid import hybrid_ccdf
-from .optimizer import AdamConfig, EvalGrid, LossWeights
+from .optimizer import AdamConfig, LossWeights, pow2_points
 
 EXIT_CONFIG = 2
 EXIT_FIT_FAILURE = 3
@@ -85,8 +84,24 @@ class Run:
             fh.write("\n")
 
 
+def _config_error(message: str):
+    """Report a configuration error on one line and exit with EXIT_CONFIG."""
+    click.echo(message, err=True)
+    sys.exit(EXIT_CONFIG)
+
+
+def _load_model(path) -> phmodel.PhaseTypeModel:
+    try:
+        return phmodel.PhaseTypeModel.load(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        _config_error(f"unreadable model: {exc}")
+
+
 def _parse_window(text):
-    parts = [float(v) for v in text.split(",")]
+    try:
+        parts = [float(v) for v in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 2:
         raise click.BadParameter("window must be 'x_min,x_max'")
     return tuple(parts)
@@ -184,17 +199,30 @@ def fit_options(fn):
     return fn
 
 
-def _fit_config(target, method, k, n, grid_size, grid_window, tail_window,
-                weights, lr, max_iters, no_optimize):
-    w = [float(v) for v in weights.split(",")]
-    if len(w) != 3:
-        raise click.UsageError("--weights needs three comma-separated values")
-    loss_weights = LossWeights(*w)
-    adam = AdamConfig(learning_rate=lr, max_iters=max_iters)
+def _fit_config(target, methods, k, n, grid_size, grid_window, tail_window,
+                weights, lr, max_iters):
+    """Validate the fit options up front; each bad value exits EXIT_CONFIG."""
+    if n < 1:
+        _config_error(f"--bph-order must be >= 1, got {n}")
+    # The hybrid's tail needs 2k >= 2 fit points; the complete HE fit
+    # spreads 2k-1 points over the tail window, which needs two of them.
+    if ("bph_he" in methods and k < 1) or ("he" in methods and k < 2):
+        _config_error(f"--k {k} is too small: bph_he needs k >= 1, "
+                      "he needs k >= 2")
     span = _parse_window(grid_window) if grid_window else None
-    grid = fitting.default_grid(target, m=grid_size, span=span)
+    try:
+        w = [float(v) for v in weights.split(",")]
+        if len(w) != 3:
+            raise ValueError("--weights needs three comma-separated numbers")
+        loss_weights = LossWeights(*w)
+        adam = AdamConfig(learning_rate=lr, max_iters=max_iters)
+        grid = fitting.default_grid(target, m=grid_size, span=span)
+    except ValueError as exc:
+        _config_error(f"invalid fit settings: {exc}")
     # None defers fit-point placement to the library defaults.
     tail = _parse_window(tail_window) if tail_window else None
+    if tail and not 0.0 < tail[0] < tail[1]:
+        _config_error("--tail-window needs 0 < x0 < x1")
     return loss_weights, adam, grid, tail
 
 
@@ -204,11 +232,10 @@ def _run_fit(target, method, k, n, grid, tail, loss_weights, adam,
         return fitting.fit_bph(target, n=n, grid=grid,
                                adjust_mean=adjust_mean)
     if method == "he":
-        points = fitting._pow2_points(2 * k - 1, *tail) if tail else None
+        points = pow2_points(2 * k - 1, *tail) if tail else None
         return fitting.fit_he(target, k=k, grid=grid, points=points,
                               adjust_mean=adjust_mean)
-    from .optimizer import default_points
-    init = default_points(k, *tail) if tail else None
+    init = pow2_points(2 * k, *tail) if tail else None
     return fitting.fit_bph_he(target, k=k, n=n, grid=grid,
                               weights=loss_weights, adam=adam,
                               init_points=init,
@@ -238,8 +265,8 @@ def cmd_fit(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
     target, inputs = _resolve_target(target_kind, target_json, target_csv,
                                      shape, c, d, mu, sigma, scale, window)
     loss_weights, adam, grid, tail = _fit_config(
-        target, method, k, n, grid_size, grid_window, tail_window, weights,
-        lr, max_iters, no_optimize)
+        target, [method], k, n, grid_size, grid_window, tail_window, weights,
+        lr, max_iters)
     config = {"target": target.to_dict(), "method": method, "k": k,
               "bph_order": n, "grid_size": grid_size,
               "grid_span": [float(grid.points[0]), float(grid.points[-1])],
@@ -280,11 +307,7 @@ def cmd_fit(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
 @click.option("--out", default=".", show_default=True)
 def cmd_eval(model_path, grid_spec, log_grid, out):
     """Tabulate (x, ccdf, cdf, pdf) for a saved model (and its target)."""
-    try:
-        model = phmodel.PhaseTypeModel.load(model_path)
-    except (OSError, ValueError, KeyError) as exc:
-        click.echo(f"unreadable model: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    model = _load_model(model_path)
     x0, x1, steps = _parse_range(grid_spec)
     if log_grid:
         if x0 <= 0:
@@ -327,12 +350,12 @@ def cmd_compare(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
     """Fit several methods on one target and tabulate their statistics."""
     target, inputs = _resolve_target(target_kind, target_json, target_csv,
                                      shape, c, d, mu, sigma, scale, window)
-    loss_weights, adam, grid, tail = _fit_config(
-        target, method, k, n, grid_size, grid_window, tail_window, weights,
-        lr, max_iters, no_optimize)
     method_list = [m.strip() for m in methods.split(",") if m.strip()]
     if not method_list:
         raise click.UsageError("--methods needs at least one method")
+    loss_weights, adam, grid, tail = _fit_config(
+        target, method_list, k, n, grid_size, grid_window, tail_window,
+        weights, lr, max_iters)
 
     run = Run("compare", {"target": target.to_dict(), "methods": method_list,
                           "k": k, "bph_order": n}, out, seed=seed,
@@ -374,11 +397,7 @@ def cmd_compare(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
 @click.option("--out", default=".", show_default=True)
 def cmd_queue(model_path, lam, adjust_mean, wait_grid, qlen_max, out):
     """Analytic M/PH/1 metrics (and optional distribution curves)."""
-    try:
-        model = phmodel.PhaseTypeModel.load(model_path)
-    except (OSError, ValueError, KeyError) as exc:
-        click.echo(f"unreadable model: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    model = _load_model(model_path)
     run = Run("queue", {"model": model_path, "lam": lam,
                         "adjust_mean": adjust_mean, "wait_grid": wait_grid,
                         "qlen_max": qlen_max}, out, inputs=[model_path])
@@ -426,9 +445,19 @@ def cmd_simulate(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
                  scale, window, model_path, lam, jobs, warmup, replications,
                  seed, wait_grid, qlen_max, curves, out):
     """Simulate the M/G/1 queue as an independent oracle."""
+    grid = ()
+    if wait_grid:
+        x0, x1, steps = _parse_range(wait_grid)
+        grid = tuple(np.linspace(x0, x1, steps))
+    try:
+        config = simqueue.SimConfig(lam=lam, jobs=jobs, warmup=warmup,
+                                    seed=seed, replications=replications,
+                                    wait_grid=grid, qlen_max=qlen_max)
+    except ValueError as exc:
+        _config_error(f"invalid simulation settings: {exc}")
     inputs = []
     if model_path:
-        model = phmodel.PhaseTypeModel.load(model_path)
+        model = _load_model(model_path)
         service = simqueue.model_service(model)
         source = {"model": model_path}
         inputs.append(model_path)
@@ -437,13 +466,6 @@ def cmd_simulate(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
                                          shape, c, d, mu, sigma, scale, window)
         service = simqueue.target_service(target)
         source = {"target": target.to_dict()}
-    grid = ()
-    if wait_grid:
-        x0, x1, steps = _parse_range(wait_grid)
-        grid = tuple(np.linspace(x0, x1, steps))
-    config = simqueue.SimConfig(lam=lam, jobs=jobs, warmup=warmup, seed=seed,
-                                replications=replications, wait_grid=grid,
-                                qlen_max=qlen_max)
     run = Run("simulate", {**source, "lam": lam, "jobs": jobs,
                            "warmup": warmup, "replications": replications},
               out, seed=seed, inputs=inputs)

@@ -18,7 +18,7 @@ from . import hefit, phmodel
 from . import targets as targets_mod
 from .hybrid import HybridModel, build_hybrid, hybrid_ccdf
 from .optimizer import (AdamConfig, EvalGrid, LossBreakdown, LossWeights,
-                        default_points, optimize)
+                        optimize, pow2_points)
 from .phmodel import PhaseTypeModel
 
 DEFAULT_K = 4
@@ -81,11 +81,6 @@ def default_grid(target: targets_mod.TargetDistribution,
         _, hi = tail_window(target)
         span = (target.window[0], hi)
     return EvalGrid.uniform(span[0], span[1], m)
-
-
-def _pow2_points(count: int, x_min: float, x_max: float) -> np.ndarray:
-    raw = 2.0 ** np.arange(count, dtype=float)
-    return x_min + (raw - raw[0]) * (x_max - x_min) / (raw[-1] - raw[0])
 
 
 def body_scale(target: targets_mod.TargetDistribution,
@@ -156,7 +151,7 @@ def fit_he(target, k: int = DEFAULT_K, points=None,
            adjust_mean: bool = True) -> FitOutcome:
     grid = grid or default_grid(target)
     if points is None:
-        points = _pow2_points(2 * k - 1, *tail_window(target))
+        points = pow2_points(2 * k - 1, *tail_window(target))
     he = hefit.fit_complete(lambda x: targets_mod.ccdf(target, x), points)
     model = hefit.to_phase_type(he, meta={"source_target": target.to_dict()})
     model, ratio = _apply_mean_adjust(model, target, adjust_mean)
@@ -185,7 +180,7 @@ def fit_bph_he(target, k: int = DEFAULT_K, n: int = bph_mod.DEFAULT_ORDER,
         # between-pair interpolation errors small and mutually cancelling.
         lo = s * math.log(max(n, 2))
         hi = float(grid.points[-1])
-        init_points = default_points(k, lo, hi)
+        init_points = pow2_points(2 * k, lo, hi)
     # The optimizer and hybrid construction work in scaled time t = x / s,
     # where the fixed body generator is effective; the assembled generator
     # is divided by s afterwards to return to target time.

@@ -59,19 +59,21 @@ def canonical_points(points, expected_len: int) -> np.ndarray:
     return pts
 
 
-def _residual(Fbar, x: float, p: list, lam: list) -> float:
+def _residual(f_x: float, x: float, p: list, lam: list) -> float:
     # Compensated summation: the subtraction of near-equal exponential tails
     # is the dominant numerical hazard of the recursion.
-    terms = [float(Fbar(x))]
+    terms = [f_x]
     terms += [-pj * math.exp(-lj * x) for pj, lj in zip(p, lam)]
     return math.fsum(terms)
 
 
-def _solve_pair(Fbar, x_far: float, x_near: float, p: list, lam: list,
-                stage: int):
-    """Solve p_i e^{-l x} through the residual at two points (x_far > x_near)."""
-    r_far = _residual(Fbar, x_far, p, lam)
-    r_near = _residual(Fbar, x_near, p, lam)
+def _solve_pair(pts: np.ndarray, fx: list, i: int, p: list, lam: list):
+    """Solve term i (stage i + 1) through the residual at its two points,
+    pts[2i] > pts[2i + 1]."""
+    stage = i + 1
+    x_far, x_near = pts[2 * i], pts[2 * i + 1]
+    r_far = _residual(fx[2 * i], x_far, p, lam)
+    r_near = _residual(fx[2 * i + 1], x_near, p, lam)
     if r_far <= 0 or r_near <= 0:
         raise InvalidModelError(
             f"nonpositive residual at stage {stage}: "
@@ -92,11 +94,11 @@ def _check_pair(p_i: float, lam_i: float, stage: int) -> None:
                                 stage=stage)
 
 
-def _solve_closing(Fbar, x_last: float, p: list, lam: list, k: int):
+def _solve_closing(x_last: float, f_last: float, p: list, lam: list, k: int):
     """Closing term of the complete fit: weight from normalization, rate
     from the last point."""
     p_k = 1.0 - math.fsum(p)
-    r_last = _residual(Fbar, x_last, p, lam)
+    r_last = _residual(f_last, x_last, p, lam)
     if r_last <= 0:
         raise InvalidModelError(
             f"nonpositive residual {r_last:.3e} at the closing point", stage=k)
@@ -112,16 +114,18 @@ def _solve_closing(Fbar, x_last: float, p: list, lam: list, k: int):
     return p_k, -math.log(ratio) / x_last
 
 
-def _interp_error(Fbar, pts: np.ndarray, p: list, lam: list) -> float:
-    """Worst relative deviation of the mixture from Fbar at the fit points."""
+def _interp_error(pts: np.ndarray, fx: list, p: list, lam: list) -> float:
+    """Worst relative deviation of the mixture from the target at the fit
+    points."""
     worst = 0.0
-    for x in pts:
-        r = _residual(Fbar, float(x), p, lam)
-        worst = max(worst, abs(r) / max(float(Fbar(float(x))), 1e-300))
+    for x, f_x in zip(pts, fx):
+        r = _residual(f_x, float(x), p, lam)
+        worst = max(worst, abs(r) / max(f_x, 1e-300))
     return worst
 
 
-def _refine(Fbar, pts: np.ndarray, p: list, lam: list, closing: bool) -> None:
+def _refine(pts: np.ndarray, fx: list, p: list, lam: list,
+            closing: bool) -> None:
     """Gauss-Seidel sweeps until the mixture interpolates at every point.
 
     The single forward pass leaves each pair's points contaminated by the
@@ -134,18 +138,17 @@ def _refine(Fbar, pts: np.ndarray, p: list, lam: list, closing: bool) -> None:
     if k <= 1:
         return
     for _ in range(200):
-        if _interp_error(Fbar, pts, p, lam) <= 1e-12:
+        if _interp_error(pts, fx, p, lam) <= 1e-12:
             return
         for i in range(k):
             p_rest = p[:i] + p[i + 1:]
             lam_rest = lam[:i] + lam[i + 1:]
             if closing and i == k - 1:
-                p[i], lam[i] = _solve_closing(Fbar, pts[-1], p_rest,
+                p[i], lam[i] = _solve_closing(pts[-1], fx[-1], p_rest,
                                               lam_rest, k)
             else:
-                p[i], lam[i] = _solve_pair(Fbar, pts[2 * i], pts[2 * i + 1],
-                                           p_rest, lam_rest, i + 1)
-    if _interp_error(Fbar, pts, p, lam) > 1e-10:
+                p[i], lam[i] = _solve_pair(pts, fx, i, p_rest, lam_rest)
+    if _interp_error(pts, fx, p, lam) > 1e-10:
         raise InvalidModelError(
             "interpolation refinement did not converge for these points",
             stage=k)
@@ -157,16 +160,17 @@ def fit_complete(Fbar, points) -> HyperExp:
     if pts.size % 2 == 0:
         raise ValueError("complete fit needs an odd number of points (2k-1)")
     k = (pts.size + 1) // 2
+    fx = [float(Fbar(x)) for x in pts]
     p: list = []
     lam: list = []
     for i in range(k - 1):
-        p_i, lam_i = _solve_pair(Fbar, pts[2 * i], pts[2 * i + 1], p, lam, i + 1)
+        p_i, lam_i = _solve_pair(pts, fx, i, p, lam)
         p.append(p_i)
         lam.append(lam_i)
-    p_k, lam_k = _solve_closing(Fbar, pts[-1], p, lam, k)
+    p_k, lam_k = _solve_closing(pts[-1], fx[-1], p, lam, k)
     p.append(p_k)
     lam.append(lam_k)
-    _refine(Fbar, pts, p, lam, closing=True)
+    _refine(pts, fx, p, lam, closing=True)
     return HyperExp(p=np.array(p), lam=np.array(lam), defective=False)
 
 
@@ -176,13 +180,14 @@ def fit_defective(Fbar, points) -> HyperExp:
     if pts.size % 2 != 0:
         raise ValueError("defective fit needs an even number of points (2k)")
     k = pts.size // 2
+    fx = [float(Fbar(x)) for x in pts]
     p: list = []
     lam: list = []
     for i in range(k):
-        p_i, lam_i = _solve_pair(Fbar, pts[2 * i], pts[2 * i + 1], p, lam, i + 1)
+        p_i, lam_i = _solve_pair(pts, fx, i, p, lam)
         p.append(p_i)
         lam.append(lam_i)
-    _refine(Fbar, pts, p, lam, closing=False)
+    _refine(pts, fx, p, lam, closing=False)
     total = math.fsum(p)
     if total >= 1.0:
         raise InvalidModelError(
@@ -200,12 +205,13 @@ def fit_defective_raw(Fbar, points):
     """
     pts = np.sort(np.asarray(points, dtype=float))[::-1]
     k = pts.size // 2
+    fx = [float(Fbar(x)) for x in pts]
     p: list = []
     lam: list = []
     for i in range(k):
         x_far, x_near = pts[2 * i], pts[2 * i + 1]
-        r_far = _residual(Fbar, x_far, p, lam)
-        r_near = _residual(Fbar, x_near, p, lam)
+        r_far = _residual(fx[2 * i], x_far, p, lam)
+        r_near = _residual(fx[2 * i + 1], x_near, p, lam)
         if r_far <= 0 or r_near <= 0 or x_far == x_near:
             p_i, lam_i = math.nan, math.nan
         else:
@@ -218,12 +224,20 @@ def fit_defective_raw(Fbar, points):
 
 
 def he_ccdf(he: HyperExp, x) -> float | np.ndarray:
-    """Mixture CCDF: sum_i p[i] exp(-lam[i] x)."""
+    """Mixture CCDF: sum_i p[i] exp(-lam[i] x).
+
+    On an array each value is one dot product of that point's exponential
+    terms with p, so it equals the scalar result at that point exactly; a
+    single matrix-vector product would sum in a different order.
+    """
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0):
         raise ValueError("x must be nonnegative")
-    vals = np.exp(-np.multiply.outer(xs, he.lam)) @ he.p
-    return float(vals) if np.ndim(x) == 0 else vals
+    terms = np.exp(-np.multiply.outer(xs, he.lam))
+    if xs.ndim == 0:
+        return float(terms @ he.p)
+    return np.array([row @ he.p for row in terms.reshape(xs.size, he.k)]
+                    ).reshape(xs.shape)
 
 
 def to_phase_type(he: HyperExp, meta=None):

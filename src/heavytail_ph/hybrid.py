@@ -9,6 +9,7 @@ diagonal block, with no transitions between the two.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -29,29 +30,24 @@ class HybridModel:
     assembled: PhaseTypeModel
 
 
-def residual_ccdf(Fbar, he: HyperExp, check_grid=None):
-    """Evaluator for the residual G-bar(x) = Fbar(x) - HE(x), clamped at 0.
+def residual_ccdf(Fbar, he: HyperExp, nodes, points) -> np.ndarray:
+    """Residual G-bar(x) = Fbar(x) - HE(x) at the BPH nodes, clamped at 0.
 
-    With check_grid given, raises when the residual dips below -1e-6 there
-    (the HE component overshoots the target); dips within tolerance are
-    clamped with a warning.
+    The residual is checked on the nodes and the HE fit points: it raises
+    when it dips below -1e-6 there (the HE component overshoots the
+    target); dips within tolerance are clamped with a warning.
     """
-    def gbar(x):
-        val = float(Fbar(x)) - he_ccdf(he, float(x)) if np.isfinite(x) \
-            else float(Fbar(x))
-        return max(val, 0.0)
-
-    if check_grid is not None:
-        vals = np.array([float(Fbar(x)) - he_ccdf(he, float(x))
-                         for x in check_grid])
-        worst = float(vals.min()) if vals.size else 0.0
-        if worst < -RESIDUAL_NEG_TOL:
-            raise InvalidModelError(
-                f"HE tail overshoots the target: residual reaches {worst:.3e}")
-        if worst < -PROB_NOISE_TOL:
-            warnings.warn(f"residual CCDF clamped at 0 (worst dip {worst:.3e})",
-                          stacklevel=2)
-    return gbar
+    nodes = np.asarray(nodes, dtype=float)
+    xs = np.concatenate([nodes, np.asarray(points, dtype=float)])
+    vals = np.array([float(Fbar(x)) for x in xs]) - he_ccdf(he, xs)
+    worst = float(vals.min()) if vals.size else 0.0
+    if worst < -RESIDUAL_NEG_TOL:
+        raise InvalidModelError(
+            f"HE tail overshoots the target: residual reaches {worst:.3e}")
+    if worst < -PROB_NOISE_TOL:
+        warnings.warn(f"residual CCDF clamped at 0 (worst dip {worst:.3e})",
+                      stacklevel=2)
+    return np.maximum(vals[:nodes.size], 0.0)
 
 
 def build_hybrid(Fbar, k: int, n: int, points, meta=None) -> HybridModel:
@@ -63,10 +59,10 @@ def build_hybrid(Fbar, k: int, n: int, points, meta=None) -> HybridModel:
         he = HyperExp(p=np.empty(0), lam=np.empty(0), defective=True)
     else:
         he = fit_defective(Fbar, points)
-    check = np.concatenate([bph_mod.grid_points(n),
-                            np.asarray(points, dtype=float)])
-    gbar = residual_ccdf(Fbar, he, check_grid=check)
-    component = bph_mod.build_from_ccdf(gbar, n)
+    node_vals = residual_ccdf(Fbar, he, bph_mod.grid_points(n), points)
+    # The HE terms vanish at +inf, so the residual there is the target's.
+    component = bph_mod.build_from_ccdf(node_vals,
+                                        max(float(Fbar(math.inf)), 0.0))
     assembled = _assemble(component, he, meta)
     return HybridModel(bph=component, he=he, assembled=assembled)
 

@@ -17,12 +17,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import targets as targets_mod
-from ._backend import bernstein_he_ccdf
+from ._kernels_py import basis_he_ccdf, bernstein_basis
 from .bph import grid_points
 from .constants import RESIDUAL_NEG_TOL
 from .errors import InvalidModelError
 from .hefit import fit_defective_raw
-from .hybrid import build_hybrid, hybrid_ccdf
+from .hybrid import build_hybrid
 
 log = logging.getLogger(__name__)
 
@@ -87,18 +87,22 @@ class LossBreakdown(NamedTuple):
     pen_p: float
 
 
-def default_points(k: int, x_min: float, x_max: float) -> np.ndarray:
-    """Power-of-two initialization 2^(i-1), remapped linearly to [x_min, x_max]."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def pow2_points(count: int, x_min: float, x_max: float) -> np.ndarray:
+    """Power-of-two fit points 2^(i-1), i = 1..count, remapped linearly to
+    [x_min, x_max]: 2k of them start the hybrid's tail, 2k-1 the complete
+    HE fit."""
+    if count < 2:
+        raise ValueError("need at least 2 fit points")
     if not x_min < x_max:
         raise ValueError("x_min must be below x_max")
-    raw = 2.0 ** np.arange(2 * k, dtype=float)  # 1, 2, 4, ..., 2^(2k-1)
+    raw = 2.0 ** np.arange(count, dtype=float)  # 1, 2, 4, ..., 2^(count-1)
     return x_min + (raw - raw[0]) * (x_max - x_min) / (raw[-1] - raw[0])
 
 
 class LossEvaluator:
-    """Callable loss with the target CCDF cached on the evaluation grid."""
+    """Callable loss with the target CCDF and the Bernstein basis cached on
+    the evaluation grid, so each model CCDF there is one matrix-vector
+    product plus the HE terms."""
 
     def __init__(self, target, k: int, n: int, grid: EvalGrid,
                  weights: LossWeights):
@@ -113,6 +117,7 @@ class LossEvaluator:
         self.y = np.array([self.Fbar(z) for z in grid.points])
         self._nodes = grid_points(n)
         self._y_nodes = np.array([self.Fbar(z) for z in self._nodes])
+        self._basis = bernstein_basis(n, grid.points)
         # Whether the most recent __call__ produced a buildable hybrid.
         self.last_build_ok = False
 
@@ -124,8 +129,7 @@ class LossEvaluator:
             self.last_build_ok = False
             return self._raw_loss(points)
         self.last_build_ok = True
-        y_hat = hybrid_ccdf(hy, self.grid.points)
-        mae = float(np.mean(np.abs(self.y - y_hat)))
+        mae = self._mae(hy.bph.node_values, hy.he.p, hy.he.lam)
         # A successful build implies valid p and lambda: zero penalties.
         return LossBreakdown(w.w_mae * mae, mae, 0.0, 0.0)
 
@@ -173,10 +177,12 @@ class LossEvaluator:
         # a running maximum reproduces the clamped cumulative weights.
         node_vals = np.maximum.accumulate(
             np.maximum(res[:self._nodes.size], 0.0))
-        y_hat = bernstein_he_ccdf(node_vals, p, lam,
-                                  np.atleast_1d(self.grid.points))
-        mae = float(np.mean(np.abs(self.y - y_hat)))
-        return mae, dips
+        return self._mae(node_vals, p, lam), dips
+
+    def _mae(self, node_vals, p, lam) -> float:
+        """Grid MAE of the hybrid CCDF with these node values and HE terms."""
+        y_hat = basis_he_ccdf(self._basis, node_vals, p, lam, self.grid.points)
+        return float(np.mean(np.abs(self.y - y_hat)))
 
     def _raw_mixture(self, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
         ok = np.isfinite(p) & np.isfinite(lam)

@@ -152,12 +152,6 @@ def draw_target(dist: targets_mod.TargetDistribution, rng: np.random.Generator,
     return np.array([targets_mod.ccdf_inverse(dist, ui) for ui in u])
 
 
-def target_sampler(dist: targets_mod.TargetDistribution, seed: int):
-    """Stateful sampler drawing successive batches from one seeded stream."""
-    rng = np.random.default_rng(seed)
-    return lambda count: draw_target(dist, rng, count)
-
-
 def target_service(dist: targets_mod.TargetDistribution):
     """Service-draw callable for run_mg1."""
     return lambda rng, count: draw_target(dist, rng, count)

@@ -19,7 +19,7 @@ from heavytail_ph import bph, cli, fitting, hefit, hybrid, phmodel, queueing
 from heavytail_ph import simqueue
 from heavytail_ph import targets as targets_mod
 from heavytail_ph.optimizer import (AdamConfig, EvalGrid, LossEvaluator,
-                                    LossWeights, default_points, optimize)
+                                    LossWeights, optimize, pow2_points)
 from heavytail_ph.phmodel import PhaseTypeModel
 from heavytail_ph.simqueue import SimConfig
 
@@ -121,13 +121,15 @@ def test_criterion_5_structural_invariants(pareto):
 
     # BPH built from the CDF and from the CCDF are the same component.
     a = bph.build_from_cdf(lambda x: targets_mod.cdf(pareto, x), 100)
-    b = bph.build_from_ccdf(lambda x: targets_mod.ccdf(pareto, x), 100)
+    b = bph.build_from_ccdf([targets_mod.ccdf(pareto, x)
+                             for x in bph.grid_points(100)],
+                            targets_mod.ccdf(pareto, math.inf))
     checks["bph cdf/ccdf"] = (float(np.max(np.abs(a.weights - b.weights))),
                               1e-12)
 
     # HE interpolation exactness at the fit points.
     Fbar = lambda x: targets_mod.ccdf(pareto, x)
-    pts = fitting._pow2_points(7, *fitting.tail_window(pareto))
+    pts = pow2_points(7, *fitting.tail_window(pareto))
     he = hefit.fit_complete(Fbar, pts)
     he_err = max(abs(hefit.he_ccdf(he, x) - Fbar(x)) / Fbar(x) for x in pts)
     checks["he interpolation"] = (he_err, 1e-10)
@@ -217,7 +219,7 @@ def test_criterion_7_optimizer_descent(pareto):
     grid = fitting.default_grid(pareto, m=256)
     # Deliberately poor window: all points bunched at the low end of the
     # tail instead of spanning it.
-    init = default_points(4, 2.0, 40.0)
+    init = pow2_points(8, 2.0, 40.0)
     weights = LossWeights()
     adam = AdamConfig(max_iters=300, patience=60)
     pts, trace = optimize(pareto, 4, 100, grid, weights, adam, init)

@@ -1,0 +1,27 @@
+"""The traced benchmark run still reaches every fit-layer boundary.
+
+The benchmark's tracer wraps module-level functions (`hybrid.residual_ccdf`,
+`hefit.he_ccdf`, `bph.build_from_ccdf`, ...) and fails the run when an
+expected boundary never fires, so a refactor that calls around one of them
+shows up here. The run uses the full-size operation (20 Adam steps): the
+tiny size stops after 2 steps, where the fit's CV error (2.8e-2) is above
+the benchmark's 2e-2 check, so a tiny run never reads as correct.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_fit_run_is_correct_and_fires_every_boundary():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "fit-pareto",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert "never fired" not in proc.stderr

@@ -14,6 +14,12 @@ from heavytail_ph import bph, phmodel
 from heavytail_ph import targets as targets_mod
 
 
+def ccdf_component(Fbar, n):
+    # build_from_ccdf takes the values at the nodes and at +inf.
+    return bph.build_from_ccdf([Fbar(x) for x in bph.grid_points(n)],
+                               Fbar(math.inf))
+
+
 def test_grid_points_values():
     # [TRIVIAL] log(n/i) for i = 1..n, descending, last exactly 0.
     pts = bph.grid_points(4)
@@ -46,7 +52,7 @@ def test_cdf_and_ccdf_builders_agree(pareto):
     F = lambda x: targets_mod.cdf(pareto, x)
     Fbar = lambda x: targets_mod.ccdf(pareto, x) if np.isfinite(x) else 0.0
     a = bph.build_from_cdf(F, 50)
-    b = bph.build_from_ccdf(Fbar, 50)
+    b = ccdf_component(Fbar, 50)
     assert a.weights == pytest.approx(b.weights, abs=1e-15)
 
 
@@ -54,6 +60,9 @@ def test_non_monotone_input_rejected():
     with pytest.raises(ValueError, match="not monotone"):
         bph.build_from_cdf(lambda x: math.sin(10.0 * x) if np.isfinite(x)
                            else 1.0, 30)
+    # Node values run from x = log n down to 0, so a CCDF's must not fall.
+    with pytest.raises(ValueError, match="not monotone"):
+        bph.build_from_ccdf([0.2, 0.5, 0.4], 0.0)
 
 
 def test_defective_component_rejected_by_to_phase_type():
@@ -78,8 +87,8 @@ def test_exponential_exact_at_nodes():
     # e^{-x} exactly in the limit; at finite n the node values fed in are
     # exact, so the cumulative weights must equal e^{-node}.
     n = 25
-    comp = bph.build_from_ccdf(lambda x: math.exp(-x) if np.isfinite(x)
-                               else 0.0, n)
+    comp = ccdf_component(lambda x: math.exp(-x) if np.isfinite(x)
+                          else 0.0, n)
     assert comp.node_values == pytest.approx(np.exp(-bph.grid_points(n)),
                                              rel=1e-12)
 
@@ -91,7 +100,7 @@ def test_approximation_improves_with_order():
     exact = 1.0 / (1.0 + xs)
     errs = []
     for n in (10, 40, 160):
-        comp = bph.build_from_ccdf(Fbar, n)
+        comp = ccdf_component(Fbar, n)
         errs.append(np.max(np.abs(bph.bernstein_ccdf(comp, xs) - exact)))
     assert errs[0] > errs[1] > errs[2]
 

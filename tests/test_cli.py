@@ -77,6 +77,41 @@ def test_fit_failure_exit_code(runner, tmp_path):
     assert result.exit_code == cli.EXIT_FIT_FAILURE
 
 
+@pytest.mark.parametrize("args", [
+    ["fit", "--target", "pareto", "--shape", "3.1", "--weights", "1,1,1"],
+    ["fit", "--target", "pareto", "--shape", "3.1", "--bph-order", "0"],
+    ["fit", "--target", "pareto", "--shape", "3.1", "--method", "bph_he",
+     "--k", "0"],
+    ["simulate", "--target", "pareto", "--shape", "3.1", "--jobs", "10",
+     "--warmup", "10"],
+    ["simulate", "--model", "{bad}"],
+    ["fit", "--target", "pareto", "--shape", "3.1", "--method", "he",
+     "--k", "1"],
+    ["fit", "--target", "pareto", "--shape", "3.1", "--lr", "0"],
+    ["fit", "--target", "pareto", "--shape", "3.1", "--grid-size", "1"],
+    ["fit", "--target", "pareto", "--shape", "3.1", "--tail-window", "5,1"],
+], ids=["bad-weights", "bph-order-0", "k-0", "jobs-not-above-warmup",
+        "malformed-model", "he-k-1", "lr-0", "grid-size-1",
+        "reversed-tail-window"])
+def test_bad_config_exits_with_config_code(runner, tmp_path, args):
+    # Config errors exit EXIT_CONFIG with a one-line message, never a
+    # traceback.
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    args = [a.format(bad=bad) for a in args] + ["--out", str(tmp_path)]
+    result = runner.invoke(cli.main, args, catch_exceptions=False)
+    assert result.exit_code == cli.EXIT_CONFIG
+    assert len(result.output.strip().splitlines()) == 1
+
+
+def test_non_numeric_window_is_a_usage_error(runner, tmp_path):
+    result = runner.invoke(cli.main, [
+        "fit", "--target", "pareto", "--shape", "3.1", "--tail-window",
+        "a,b", "--out", str(tmp_path)], catch_exceptions=False)
+    assert result.exit_code == cli.EXIT_CONFIG
+    assert "window must be" in result.output
+
+
 def test_no_adjust_mean_flag(runner, tmp_path):
     result = run_fit(runner, tmp_path, "--no-adjust-mean")
     assert result.exit_code == 0

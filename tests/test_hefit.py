@@ -143,6 +143,24 @@ def test_he_ccdf_vectorized():
     assert vals[1] == pytest.approx(0.5 * math.exp(-1) + 0.5 * math.exp(-2))
 
 
+@given(seed=st.integers(0, 10_000), k=st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_he_ccdf_array_equals_scalar_exactly(seed, k):
+    # The array path must give the scalar result at every point, bit for
+    # bit: the hybrid residual evaluates the tail on arrays, and an ulp
+    # there is amplified by the finite-difference gradient.
+    rng = np.random.default_rng(seed)
+    he = HyperExp(p=rng.random(k) / max(k, 1),
+                  lam=10.0 ** rng.uniform(-4.0, 1.0, k))
+    xs = np.concatenate([[0.0], 10.0 ** rng.uniform(-3.0, 4.0, 200)])
+    vals = hefit.he_ccdf(he, xs)
+    assert vals.shape == xs.shape
+    for j in range(xs.size):
+        assert vals[j] == hefit.he_ccdf(he, float(xs[j]))
+    assert np.array_equal(hefit.he_ccdf(he, xs[1:].reshape(20, 10)),
+                          vals[1:].reshape(20, 10))
+
+
 def test_to_phase_type_matches_mixture():
     from heavytail_ph import phmodel
     he = HyperExp(p=np.array([0.25, 0.75]), lam=np.array([0.3, 3.0]))

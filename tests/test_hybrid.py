@@ -5,12 +5,18 @@ closed-form CCDF must agree with it), structural checks on the block
 generator, and the interpolation property inherited from the HE tail.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from heavytail_ph import bph, hybrid, phmodel
+from heavytail_ph import bph, fitting, hefit, hybrid, phmodel
 from heavytail_ph import targets as targets_mod
+from heavytail_ph.constants import PROB_NOISE_TOL, RESIDUAL_NEG_TOL
 from heavytail_ph.errors import InvalidModelError
+from heavytail_ph.hefit import HyperExp
+from heavytail_ph.optimizer import pow2_points
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +73,7 @@ def test_k_zero_degenerates_to_bph(pareto_hybrid):
     dist, Fbar, _ = pareto_hybrid
     hy = hybrid.build_hybrid(Fbar, 0, 50, [])
     assert hy.he.k == 0
-    comp = bph.build_from_ccdf(lambda x: Fbar(x) if np.isfinite(x) else 0.0, 50)
+    comp = bph.build_from_ccdf([Fbar(x) for x in bph.grid_points(50)], 0.0)
     assert hy.bph.weights == pytest.approx(comp.weights, abs=1e-15)
     xs = np.linspace(0.0, 4.0, 10)
     assert hybrid.hybrid_ccdf(hy, xs) == pytest.approx(
@@ -85,13 +91,74 @@ def test_overshooting_tail_rejected():
 
 
 def test_residual_ccdf_clamps_small_dips():
-    from heavytail_ph.hefit import HyperExp
     he = HyperExp(p=np.array([0.5]), lam=np.array([1.0]), defective=True)
     # Fbar slightly below the HE tail at one point: within tolerance.
     Fbar = lambda x: 0.5 * np.exp(-x) - 1e-8 if np.isfinite(x) else 0.0
     with pytest.warns(UserWarning, match="clamped"):
-        gbar = hybrid.residual_ccdf(Fbar, he, check_grid=[1.0])
-    assert gbar(1.0) == 0.0
+        gbar = hybrid.residual_ccdf(Fbar, he, [1.0], [])
+    assert gbar[0] == 0.0
+
+
+def test_residual_ccdf_rejects_overshoot_at_a_fit_point():
+    # The fit points are checked as well as the nodes: an overshoot seen
+    # only at a fit point still fails the build.
+    he = HyperExp(p=np.array([0.5]), lam=np.array([1.0]), defective=True)
+    Fbar = lambda x: 0.5 * math.exp(-x) + (1e-3 if x < 2.0 else -1e-5)
+    assert hybrid.residual_ccdf(Fbar, he, [1.0, 0.0], []) == pytest.approx(
+        [1e-3, 1e-3])
+    with pytest.raises(InvalidModelError, match="overshoots"):
+        hybrid.residual_ccdf(Fbar, he, [1.0, 0.0], [3.0])
+
+
+def reference_build(Fbar, k, n, points):
+    """(BPH weights, HE) of the hybrid built through per-point closures."""
+    he = hefit.fit_defective(Fbar, points)
+
+    def gbar(x):
+        val = float(Fbar(x)) - hefit.he_ccdf(he, float(x)) \
+            if np.isfinite(x) else float(Fbar(x))
+        return max(val, 0.0)
+
+    check = np.concatenate([bph.grid_points(n), points])
+    worst = min(float(Fbar(x)) - hefit.he_ccdf(he, float(x)) for x in check)
+    if worst < -RESIDUAL_NEG_TOL:
+        raise InvalidModelError("overshoot")
+    vals = np.array([gbar(x) for x in bph.grid_points(n)])
+    lower = np.concatenate(([gbar(math.inf)], vals[:-1]))
+    return np.maximum(vals - lower, 0.0), he, worst
+
+
+def test_array_build_equals_per_point_reference():
+    # [DERIVED] on random point sets the array-native build reproduces the
+    # per-point closure build exactly, or fails where it fails. The
+    # default Pareto layout in the fit's scaled time sits on the
+    # feasibility edge, so small jitters give clean builds, clamped
+    # builds and overshoots.
+    dist = targets_mod.TargetDistribution(kind="pareto", params={"shape": 3.1})
+    s = fitting.body_scale(dist, 100)
+    Fbar = lambda t: targets_mod.ccdf(dist, s * t)
+    top = float(fitting.default_grid(dist).points[-1])
+    base = pow2_points(8, s * math.log(100), top) / s
+    rng = np.random.default_rng(7)
+    built = clamped = overshoot = 0
+    for _ in range(30):
+        points = base * np.exp(rng.uniform(-3e-4, 3e-4, base.size))
+        try:
+            weights, he, worst = reference_build(Fbar, 4, 100, points)
+        except InvalidModelError:
+            with pytest.raises(InvalidModelError):
+                hybrid.build_hybrid(Fbar, 4, 100, points)
+            overshoot += 1
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            hy = hybrid.build_hybrid(Fbar, 4, 100, points)
+        assert np.array_equal(hy.bph.weights, weights)
+        assert np.array_equal(hy.he.p, he.p)
+        assert np.array_equal(hy.he.lam, he.lam)
+        built += 1
+        clamped += worst < -PROB_NOISE_TOL
+    assert built >= 10 and clamped >= 1 and overshoot >= 1
 
 
 def test_meta_propagates():

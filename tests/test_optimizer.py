@@ -10,12 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from heavytail_ph import optimizer
+from types import SimpleNamespace
+
+from heavytail_ph import _kernels_py, bph, hefit, hybrid, optimizer
 from heavytail_ph import targets as targets_mod
 from heavytail_ph.hybrid import build_hybrid, hybrid_ccdf
 from heavytail_ph.optimizer import (AdamConfig, EvalGrid, LossEvaluator,
-                                    LossWeights, default_points, loss,
-                                    optimize)
+                                    LossWeights, loss, optimize,
+                                    pow2_points)
 
 GOOD_POINTS = [8.67, 13.09, 24.5, 45.3, 94.1, 213.8, 591.2, 1375.1]
 
@@ -50,9 +52,9 @@ def test_grid_must_increase():
 
 
 def test_default_points_pow2_shape():
-    # [DERIVED] the raw sequence 1, 2, ..., 2^(2k-1) remapped linearly:
+    # [DERIVED] the raw sequence 1, 2, ..., 2^(count-1) remapped linearly:
     # consecutive gaps double.
-    pts = default_points(2, 0.0, 7.0)
+    pts = pow2_points(4, 0.0, 7.0)
     assert pts == pytest.approx([0.0, 1.0, 3.0, 7.0])
     gaps = np.diff(pts)
     assert gaps[1:] == pytest.approx(2.0 * gaps[:-1])
@@ -74,6 +76,35 @@ def test_feasible_loss_is_weighted_mae(pareto, grid):
     assert b.total == pytest.approx(w.w_mae * mae, rel=1e-12)
 
 
+def test_basis_loss_equals_hybrid_ccdf_mae_exactly(pareto, grid, monkeypatch):
+    # [DERIVED] the precomputed Bernstein basis gives bit for bit the MAE
+    # that the numpy kernel behind hybrid_ccdf gives, on the feasible
+    # branch and on the dip-clamped branch of the loss.
+    monkeypatch.setattr(hybrid, "bernstein_he_ccdf",
+                        _kernels_py.bernstein_he_ccdf)
+    Fbar = lambda x: targets_mod.ccdf(pareto, x)
+    y = np.array([Fbar(x) for x in grid.points])
+    ev = LossEvaluator(pareto, 4, 100, grid, LossWeights())
+
+    b = ev(GOOD_POINTS)
+    assert ev.last_build_ok
+    hy = build_hybrid(Fbar, 4, 100, GOOD_POINTS)
+    assert b.mae == float(np.mean(np.abs(y - hybrid_ccdf(hy, grid.points))))
+
+    pts = pow2_points(8, 4.6, 1683.0)
+    b = ev(pts)
+    assert not ev.last_build_ok and b.pen_lambda == 0.0
+    p, lam = hefit.fit_defective_raw(Fbar, pts)
+    check = np.concatenate([bph.grid_points(100), pts])
+    res = (np.array([Fbar(x) for x in check])
+           - np.exp(-np.multiply.outer(check, lam)) @ p)
+    node_vals = np.maximum.accumulate(np.maximum(res[:100], 0.0))
+    clamped = SimpleNamespace(bph=SimpleNamespace(node_values=node_vals),
+                              he=SimpleNamespace(p=p, lam=lam))
+    assert b.mae == float(np.mean(np.abs(
+        y - hybrid_ccdf(clamped, grid.points))))
+
+
 def test_invalid_candidate_penalized(pareto, grid):
     # Points forcing a negative recursion residual produce NaN parameters,
     # which must surface as positive penalties, not exceptions.
@@ -89,7 +120,7 @@ def test_unbuildable_in_range_candidate_gets_dip_penalty(pareto, grid):
     # overshoots the target between points: the clamped-hybrid path must
     # report a positive penalty so the descent is pushed toward
     # feasibility.
-    pts = default_points(4, 4.6, 1683.0)
+    pts = pow2_points(8, 4.6, 1683.0)
     ev = LossEvaluator(pareto, 4, 100, grid, LossWeights())
     b = ev(pts)
     assert not ev.last_build_ok
