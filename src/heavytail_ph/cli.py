@@ -167,8 +167,6 @@ def _resolve_target(target_kind, target_json, target_csv, shape, c, d, mu,
 
 
 _FIT_OPTIONS = [
-    click.option("--method", type=click.Choice(["bph", "he", "bph_he"]),
-                 default="bph_he", show_default=True),
     click.option("--k", type=int, default=fitting.DEFAULT_K, show_default=True,
                  help="Number of exponential tail terms."),
     click.option("--bph-order", "n", type=int, default=100, show_default=True,
@@ -188,8 +186,6 @@ _FIT_OPTIONS = [
                  help="Use the default fit points verbatim."),
     click.option("--no-adjust-mean", is_flag=True,
                  help="Skip the final rescale to the window-numeric mean."),
-    click.option("--trace-csv", is_flag=True,
-                 help="Also dump the optimizer loss trace as CSV."),
 ]
 
 
@@ -254,7 +250,11 @@ def main():
 
 @main.command("fit")
 @target_options
+@click.option("--method", type=click.Choice(["bph", "he", "bph_he"]),
+              default="bph_he", show_default=True)
 @fit_options
+@click.option("--trace-csv", is_flag=True,
+              help="Also dump the optimizer loss trace as CSV.")
 @click.option("--out", default=".", show_default=True,
               help="Output directory.")
 def cmd_fit(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
@@ -344,9 +344,9 @@ def cmd_eval(model_path, grid_spec, log_grid, out):
 @click.option("--methods", default="bph,he,bph_he", show_default=True)
 @click.option("--out", default=".", show_default=True)
 def cmd_compare(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
-                scale, window, method, k, n, grid_size, grid_window,
-                tail_window, weights, lr, max_iters, seed, no_optimize,
-                no_adjust_mean, trace_csv, methods, out):
+                scale, window, k, n, grid_size, grid_window, tail_window,
+                weights, lr, max_iters, seed, no_optimize, no_adjust_mean,
+                methods, out):
     """Fit several methods on one target and tabulate their statistics."""
     target, inputs = _resolve_target(target_kind, target_json, target_csv,
                                      shape, c, d, mu, sigma, scale, window)
@@ -419,9 +419,6 @@ def cmd_queue(model_path, lam, adjust_mean, wait_grid, qlen_max, out):
     except UnstableQueueError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_CONFIG)
-    except NonConvergenceError as exc:
-        click.echo(f"numerical non-convergence: {exc}", err=True)
-        sys.exit(EXIT_NON_CONVERGENCE)
     run.finish()
     click.echo(json.dumps(metrics.to_dict(), indent=2))
 

@@ -16,10 +16,6 @@ class InvalidModelError(ValueError):
 class NonConvergenceError(RuntimeError):
     """An iterative numerical procedure failed to reach its tolerance."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class UnstableQueueError(ValueError):
     """Requested queue analysis with utilization >= 1."""

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import targets as targets_mod
-from ._kernels_py import basis_he_ccdf, bernstein_basis
+from ._backend import basis_he_ccdf, bernstein_basis
 from .bph import grid_points
 from .constants import RESIDUAL_NEG_TOL
 from .errors import InvalidModelError

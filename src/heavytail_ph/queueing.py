@@ -16,11 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phmodel
-from .errors import NonConvergenceError, UnstableQueueError
+from .errors import UnstableQueueError
 from .phmodel import PhaseTypeModel
-
-_R_TOL = 1e-13
-_R_MAX_SWEEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -101,21 +98,14 @@ def _qbd_solution(lam: float, service: PhaseTypeModel):
     A = service.A
     a = service.alpha / service.alpha.sum()
     s = -A @ np.ones(n)
-    A0 = lam * np.eye(n)
     A1 = A - lam * np.eye(n)
     A2 = np.outer(s, a)
 
-    R = np.zeros((n, n))
-    for _ in range(_R_MAX_SWEEPS):
-        rhs = -(A0 + R @ R @ A2)
-        R_new = np.linalg.solve(A1.T, rhs.T).T
-        delta = float(np.max(np.abs(R_new - R)))
-        R = R_new
-        if delta < _R_TOL:
-            break
-    else:
-        raise NonConvergenceError("QBD rate-matrix iteration did not converge",
-                                  residual=delta)
+    # R solves lam I + R A1 + R^2 A2 = 0. Every service completion restarts
+    # the phase from a, so the first passage one level down is G = 1 a and
+    # R = lam (-A1 - lam G)^{-1} in closed form (Neuts 1981).
+    R = lam * np.linalg.inv(lam * np.eye(n) - A
+                            - lam * np.outer(np.ones(n), a))
 
     # Balance at level 1: pi0 * lam * a + pi1 (A1 + R A2) = 0, pi0 scalar.
     pi1 = -lam * np.linalg.solve((A1 + R @ A2).T, a)

@@ -166,6 +166,19 @@ def test_compare_lists_methods(runner, tmp_path):
         assert float(r["mae"]) >= 0.0
 
 
+@pytest.mark.parametrize("option", [["--method", "bph"], ["--trace-csv"]],
+                         ids=["method", "trace-csv"])
+def test_compare_rejects_fit_only_options(runner, tmp_path, option):
+    # compare fits every method in --methods and writes no loss trace, so
+    # these fit options are usage errors rather than silently ignored.
+    result = runner.invoke(cli.main, [
+        "compare", "--target", "pareto", "--shape", "3.1", *option,
+        "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+    assert not (tmp_path / "compare.csv").exists()
+
+
 def test_queue_metrics_and_curves(runner, tmp_path):
     assert run_fit(runner, tmp_path).exit_code == 0
     out = tmp_path / "queue"

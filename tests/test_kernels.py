@@ -1,30 +1,14 @@
-"""Backend parity: the compiled kernels against the pure-numpy fallback.
-
-Both implementations compute identical quantities in double precision, so
-they must agree to rounding on random inputs; the Bernstein-sum kernel is
-additionally checked against a literal evaluation of its defining formula.
+"""Kernels: the Bernstein+HE mixture CCDF against a literal evaluation of
+its defining sum. The Lindley kernel's oracle, a naive loop, is in
+test_simqueue.py.
 """
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import heavytail_ph
-from heavytail_ph import _backend, _kernels_py
-
-try:
-    from heavytail_ph import _kernels
-except ImportError:
-    _kernels = None
-
-needs_compiled = pytest.mark.skipif(_kernels is None,
-                                    reason="compiled extension not built")
+from heavytail_ph import _backend
 
 
 def naive_bernstein_he(node_vals, p, lam, x):
@@ -45,7 +29,7 @@ def test_python_kernel_matches_naive_sum():
     p = np.array([0.05, 0.02])
     lam = np.array([0.3, 3.0])
     xs = np.array([0.0, 0.4, 1.3, 6.0])
-    got = _kernels_py.bernstein_he_ccdf(node_vals, p, lam, xs)
+    got = _backend.bernstein_he_ccdf(node_vals, p, lam, xs)
     expect = [naive_bernstein_he(node_vals, p, lam, x) for x in xs]
     assert got == pytest.approx(expect, rel=1e-12)
 
@@ -56,67 +40,12 @@ def test_python_kernel_large_order_stable():
     n = 1200
     node_vals = 1.0 - np.exp(-np.linspace(5.0, 0.0, n))
     xs = np.array([0.1, 1.0, 5.0])
-    vals = _kernels_py.bernstein_he_ccdf(node_vals, np.empty(0), np.empty(0),
-                                         xs)
+    vals = _backend.bernstein_he_ccdf(node_vals, np.empty(0), np.empty(0), xs)
     assert np.all(np.isfinite(vals))
     assert np.all(vals >= 0.0)
-
-
-@needs_compiled
-def test_backends_agree_bernstein():
-    rng = np.random.default_rng(1)
-    node_vals = np.sort(rng.random(100))
-    p = rng.random(4) * 0.1
-    lam = rng.random(4) * 5.0 + 0.01
-    xs = np.linspace(0.0, 12.0, 200)
-    a = _kernels.bernstein_he_ccdf(node_vals, p, lam, xs)
-    b = _kernels_py.bernstein_he_ccdf(node_vals, p, lam, xs)
-    assert a == pytest.approx(b, rel=1e-11, abs=1e-13)
-
-
-@needs_compiled
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=30, deadline=None)
-def test_backends_agree_lindley(seed):
-    rng = np.random.default_rng(seed)
-    inc = rng.normal(0.0, 2.0, size=rng.integers(0, 300))
-    a = _kernels.lindley_waits(inc)
-    b = _kernels_py.lindley_waits(inc)
-    assert a == pytest.approx(b, abs=1e-9)
-
-
-def _probe_backend(forced):
-    """Import the package in a fresh interpreter; return its BACKEND_NAME.
-
-    The child imports the same package as this process, whether that is
-    installed or found only through PYTHONPATH, because the directory
-    holding it is put first on the child's PYTHONPATH.
-    """
-    # Unforced, the child keeps this process's environment, so it must
-    # select the same backend as this process did.
-    env = dict(os.environ)
-    if forced:
-        env["HEAVYTAIL_PH_BACKEND"] = "python"
-    pkg_root = os.path.dirname(os.path.dirname(heavytail_ph.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-    code = ("import heavytail_ph; print(heavytail_ph.BACKEND_NAME); "
-            "print(heavytail_ph.__file__)")
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    name, path = out.stdout.splitlines()
-    assert path == heavytail_ph.__file__
-    return name
-
-
-def test_env_var_forces_python_backend():
-    # The selection happens at import, so probe it in a subprocess.
-    assert _probe_backend(forced=True) == "python"
-    assert _probe_backend(forced=False) == _backend.BACKEND_NAME
 
 
 def test_backend_exports():
     assert callable(_backend.bernstein_he_ccdf)
     assert callable(_backend.lindley_waits)
-    assert _backend.BACKEND_NAME in ("cython", "python")
+    assert _backend.BACKEND_NAME == "python"

@@ -12,7 +12,7 @@ import pytest
 
 from types import SimpleNamespace
 
-from heavytail_ph import _kernels_py, bph, hefit, hybrid, optimizer
+from heavytail_ph import bph, hefit, optimizer
 from heavytail_ph import targets as targets_mod
 from heavytail_ph.hybrid import build_hybrid, hybrid_ccdf
 from heavytail_ph.optimizer import (AdamConfig, EvalGrid, LossEvaluator,
@@ -76,12 +76,10 @@ def test_feasible_loss_is_weighted_mae(pareto, grid):
     assert b.total == pytest.approx(w.w_mae * mae, rel=1e-12)
 
 
-def test_basis_loss_equals_hybrid_ccdf_mae_exactly(pareto, grid, monkeypatch):
+def test_basis_loss_equals_hybrid_ccdf_mae_exactly(pareto, grid):
     # [DERIVED] the precomputed Bernstein basis gives bit for bit the MAE
-    # that the numpy kernel behind hybrid_ccdf gives, on the feasible
-    # branch and on the dip-clamped branch of the loss.
-    monkeypatch.setattr(hybrid, "bernstein_he_ccdf",
-                        _kernels_py.bernstein_he_ccdf)
+    # that the kernel behind hybrid_ccdf gives, on the feasible branch and
+    # on the dip-clamped branch of the loss.
     Fbar = lambda x: targets_mod.ccdf(pareto, x)
     y = np.array([Fbar(x) for x in grid.points])
     ev = LossEvaluator(pareto, 4, 100, grid, LossWeights())

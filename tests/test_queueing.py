@@ -144,3 +144,55 @@ def test_queue_length_mean_matches_little():
 def test_queue_length_rejects_negative_nmax():
     with pytest.raises(ValueError):
         queueing.queue_length_dist(0.5, exponential_model(2.0), -1)
+
+
+def _fixed_point_queue_length(lam, service, n_max):
+    """P(N = n) with R from the fixed-point iteration the closed form replaced.
+
+    R <- -(A0 + R^2 A2) A1^{-1}, from R = 0, until a sweep moves no entry
+    by 1e-13.
+    """
+    n = service.order
+    a = service.alpha / service.alpha.sum()
+    A0 = lam * np.eye(n)
+    A1 = service.A - lam * np.eye(n)
+    A2 = np.outer(-service.A @ np.ones(n), a)
+    R = np.zeros((n, n))
+    for _ in range(100_000):
+        R_new = np.linalg.solve(A1.T, -(A0 + R @ R @ A2).T).T
+        done = np.max(np.abs(R_new - R)) < 1e-13
+        R = R_new
+        if done:
+            break
+    else:
+        pytest.fail("fixed-point iteration on R did not converge")
+    pi1 = -lam * np.linalg.solve((A1 + R @ A2).T, a)
+    norm = 1.0 + pi1 @ np.linalg.inv(np.eye(n) - R) @ np.ones(n)
+    probs = [1.0]
+    vec = pi1
+    for _ in range(n_max):
+        probs.append(vec.sum())
+        vec = vec @ R
+    return np.array(probs) / norm
+
+
+def test_closed_form_rate_matrix_matches_fixed_point():
+    # [DERIVED] the closed-form R solves lam I + R (A - lam I) + R^2 s a = 0,
+    # the queue-length law agrees with R from the fixed-point iteration,
+    # and P(N = 0) = 1 - rho.
+    rng = np.random.default_rng(12)
+    for order in range(2, 9):
+        service = random_stable_ph(rng, order)
+        rho = rng.uniform(0.3, 0.9)
+        lam = rho / phmodel.mean(service)
+        A = service.A
+        a = service.alpha / service.alpha.sum()
+        s = -A @ np.ones(order)
+        _, _, R = queueing._qbd_solution(lam, service)
+        residual = (lam * np.eye(order) + R @ (A - lam * np.eye(order))
+                    + R @ R @ np.outer(s, a))
+        assert np.max(np.abs(residual)) <= 1e-12
+        probs = queueing.queue_length_dist(lam, service, 50)
+        assert probs == pytest.approx(
+            _fixed_point_queue_length(lam, service, 50), abs=1e-10)
+        assert probs[0] == pytest.approx(1.0 - rho, abs=1e-12)
