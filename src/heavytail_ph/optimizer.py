@@ -134,7 +134,8 @@ class LossEvaluator:
         return LossBreakdown(w.w_mae * mae, mae, 0.0, 0.0)
 
     def _raw_loss(self, points) -> LossBreakdown:
-        p, lam = fit_defective_raw(self.Fbar, points)
+        fx = np.array([float(self.Fbar(x)) for x in points])
+        p, lam = fit_defective_raw(points, fx)
         bad_lam = np.isnan(lam) | (lam < 0)
         pen_lambda = float(np.count_nonzero(bad_lam)) / self.k
         with np.errstate(invalid="ignore"):
@@ -150,8 +151,7 @@ class LossEvaluator:
             # descent is steered back into the buildable region instead of
             # being rewarded for fitting the whole CCDF with the tail alone.
             pen_p += max(0.0, float(math.fsum(p)) - 1.0)
-            mae, dips = self._clamped_hybrid_score(
-                np.asarray(points, dtype=float), p, lam)
+            mae, dips = self._clamped_hybrid_score(points, fx, p, lam)
             pen_p += dips
         else:
             y_hat = self._raw_mixture(p, lam)
@@ -160,7 +160,7 @@ class LossEvaluator:
         total = w.w_mae * mae + w.w_lambda * pen_lambda + w.w_p * pen_p
         return LossBreakdown(total, mae, pen_lambda, pen_p)
 
-    def _clamped_hybrid_score(self, points, p, lam):
+    def _clamped_hybrid_score(self, points, fx, p, lam):
         """MAE of the dip-clamped hybrid and the total dip beyond tolerance.
 
         The residual is clamped at 0 on the BPH nodes and forced
@@ -169,8 +169,7 @@ class LossEvaluator:
         -RESIDUAL_NEG_TOL over the same check points a strict build uses.
         """
         check = np.concatenate([self._nodes, points])
-        y_check = np.concatenate(
-            [self._y_nodes, [float(self.Fbar(x)) for x in points]])
+        y_check = np.concatenate([self._y_nodes, fx])
         res = y_check - np.exp(-np.multiply.outer(check, lam)) @ p
         dips = float(np.sum(np.maximum(0.0, -res - RESIDUAL_NEG_TOL)))
         # Node order is descending in x, so ascending residual values:

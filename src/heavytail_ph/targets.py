@@ -184,14 +184,14 @@ def _tabulated_ccdf(dist: TargetDistribution, x: float) -> float:
     return float(np.exp(np.interp(x, xs, np.log(cc))))
 
 
-def ccdf_inverse(dist: TargetDistribution, u: float, x_hi_start: float = 1.0) -> float:
+def ccdf_inverse(dist: TargetDistribution, u: float) -> float:
     """Solve ccdf(x) = u for x, by bracketing bisection with Newton polish.
 
     Requires a continuous, strictly decreasing CCDF on the relevant range.
     """
     if not (0.0 < u < 1.0):
         raise ValueError(f"u must be in (0, 1), got {u}")
-    lo, hi = 0.0, x_hi_start
+    lo, hi = 0.0, 1.0
     for _ in range(2200):
         if ccdf(dist, hi) <= u:
             break

@@ -90,15 +90,20 @@ def test_fit_failure_exit_code(runner, tmp_path):
     ["fit", "--target", "pareto", "--shape", "3.1", "--lr", "0"],
     ["fit", "--target", "pareto", "--shape", "3.1", "--grid-size", "1"],
     ["fit", "--target", "pareto", "--shape", "3.1", "--tail-window", "5,1"],
+    ["fit", "--target-csv", "{high}"],
 ], ids=["bad-weights", "bph-order-0", "k-0", "jobs-not-above-warmup",
         "malformed-model", "he-k-1", "lr-0", "grid-size-1",
-        "reversed-tail-window"])
+        "reversed-tail-window", "csv-ccdf-stays-high"])
 def test_bad_config_exits_with_config_code(runner, tmp_path, args):
     # Config errors exit EXIT_CONFIG with a one-line message, never a
     # traceback.
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    args = [a.format(bad=bad) for a in args] + ["--out", str(tmp_path)]
+    # A table whose CCDF stays high puts the body edge above the grid.
+    high = tmp_path / "high.csv"
+    high.write_text("x,ccdf\n0,1.0\n1,0.9\n2,0.8\n")
+    args = ([a.format(bad=bad, high=high) for a in args]
+            + ["--out", str(tmp_path)])
     result = runner.invoke(cli.main, args, catch_exceptions=False)
     assert result.exit_code == cli.EXIT_CONFIG
     assert len(result.output.strip().splitlines()) == 1

@@ -1,8 +1,10 @@
-"""Hyperexponential fitting: interpolation recursion and its refinement.
+"""Hyperexponential fitting: the forward recursion and the Newton solve
+of the interpolation conditions.
 
 Oracles: exact recovery of a known finite mixture from points on its own
-CCDF, and interpolation exactness (the defining property of the fit) on
-heavy-tailed targets.
+CCDF, interpolation exactness (the defining property of the fit) on
+heavy-tailed targets, a test-local copy of the Gauss-Seidel refinement the
+Newton solve replaced, and central differences for its Jacobian.
 """
 
 import math
@@ -112,7 +114,8 @@ def test_bad_points_raise_invalid_model():
 
 def test_raw_fit_reports_nans_instead_of_raising():
     Fbar = lambda x: math.exp(-x * x)
-    p, lam = hefit.fit_defective_raw(Fbar, [0.5, 1.0, 3.0, 6.0])
+    pts = [0.5, 1.0, 3.0, 6.0]
+    p, lam = hefit.fit_defective_raw(pts, [Fbar(x) for x in pts])
     assert p.size == lam.size == 2
     assert np.any(~np.isfinite(p)) or np.any(lam < 0) or np.any(p > 1)
 
@@ -131,6 +134,143 @@ def test_geometric_points_interpolate_pareto(scale, spread):
     he = hefit.fit_defective(Fbar, pts)
     for x in pts:
         assert hefit.he_ccdf(he, x) == pytest.approx(Fbar(x), rel=1e-10)
+
+
+# -- Newton solve against the Gauss-Seidel oracle --------------------------
+#
+# A test-local copy of the refinement the Newton solve replaced: after the
+# forward pass, sweep over the terms and re-solve each pair (and, in the
+# complete fit, the closing term) against the residual of all the others,
+# until the mixture interpolates to 1e-12 (1e-10 after 200 sweeps).
+
+def _gs_residual(f_x, x, p, lam):
+    return math.fsum([f_x] + [-pj * math.exp(-lj * x)
+                              for pj, lj in zip(p, lam)])
+
+
+def _gs_pair(pts, fx, i, p, lam):
+    x_far, x_near = pts[2 * i], pts[2 * i + 1]
+    r_far = _gs_residual(fx[2 * i], x_far, p, lam)
+    r_near = _gs_residual(fx[2 * i + 1], x_near, p, lam)
+    if r_far <= 0 or r_near <= 0:
+        raise InvalidModelError("nonpositive residual")
+    lam_i = math.log(r_near / r_far) / (x_far - x_near)
+    p_i = r_near * math.exp(lam_i * x_near)
+    if lam_i <= 0 or not 0.0 < p_i < 1.0:
+        raise InvalidModelError("term out of range")
+    return p_i, lam_i
+
+
+def _gs_closing(x_last, f_last, p, lam):
+    p_k = 1.0 - math.fsum(p)
+    ratio = _gs_residual(f_last, x_last, p, lam) / p_k
+    if not (0.0 < p_k <= 1.0 and 0.0 < ratio < 1.0):
+        raise InvalidModelError("closing term out of range")
+    return p_k, -math.log(ratio) / x_last
+
+
+def gauss_seidel_fit(Fbar, points, complete):
+    """(p, lam, sweeps) of the forward pass refined by Gauss-Seidel."""
+    pts = np.sort(np.asarray(points, dtype=float))[::-1]
+    fx = [float(Fbar(x)) for x in pts]
+    k = (pts.size + 1) // 2 if complete else pts.size // 2
+    p, lam = [], []
+    for i in range(k - 1 if complete else k):
+        p_i, lam_i = _gs_pair(pts, fx, i, p, lam)
+        p.append(p_i)
+        lam.append(lam_i)
+    if complete:
+        p_k, lam_k = _gs_closing(pts[-1], fx[-1], p, lam)
+        p.append(p_k)
+        lam.append(lam_k)
+
+    def interp_error():
+        return max(abs(_gs_residual(f, x, p, lam)) / f
+                   for x, f in zip(pts, fx))
+
+    sweeps = 0
+    while k > 1 and interp_error() > 1e-12 and sweeps < 200:
+        for i in range(k):
+            rest = (p[:i] + p[i + 1:], lam[:i] + lam[i + 1:])
+            if complete and i == k - 1:
+                p[i], lam[i] = _gs_closing(pts[-1], fx[-1], *rest)
+            else:
+                p[i], lam[i] = _gs_pair(pts, fx, i, *rest)
+        sweeps += 1
+    if interp_error() > 1e-10:
+        raise InvalidModelError("Gauss-Seidel did not converge")
+    return np.array(p), np.array(lam), sweeps
+
+
+def assert_matches_oracle(Fbar, pts, complete):
+    """Newton agrees with Gauss-Seidel to 1e-10 relative and interpolates
+    to 1e-12; returns the oracle's sweep count, or None when the oracle
+    finds the points infeasible."""
+    try:
+        p_gs, lam_gs, sweeps = gauss_seidel_fit(Fbar, pts, complete)
+    except InvalidModelError:
+        return None
+    fit = hefit.fit_complete if complete else hefit.fit_defective
+    he = fit(Fbar, pts)
+    assert he.p == pytest.approx(p_gs, rel=1e-10)
+    assert he.lam == pytest.approx(lam_gs, rel=1e-10)
+    for x in pts:
+        assert hefit.he_ccdf(he, x) == pytest.approx(Fbar(x), rel=1e-12)
+    return sweeps
+
+
+@pytest.mark.parametrize("complete", [False, True],
+                         ids=["defective", "complete"])
+def test_newton_matches_gauss_seidel_oracle(all_targets, complete):
+    # [DERIVED] both solve the same 2k interpolation conditions from the
+    # same forward pass, so on point sets where the sweeps converge the
+    # two solutions coincide to rounding.
+    rng = np.random.default_rng(20261018)
+    feasible = refined = 0
+    for i in range(60):
+        name = ("pareto", "burr", "lognormal", "weibull")[i % 4]
+        Fbar = lambda x, d=all_targets[name]: targets_mod.ccdf(d, x)
+        k = 2 + i % 3
+        count = 2 * k - 1 if complete else 2 * k
+        ratios = np.concatenate([[1.0], rng.uniform(1.6, 3.0, count - 1)])
+        pts = rng.uniform(1.0, 5.0) * np.cumprod(ratios)
+        sweeps = assert_matches_oracle(Fbar, pts, complete)
+        if sweeps is not None:
+            feasible += 1
+            refined += sweeps > 0
+    assert feasible >= 30 and refined >= 30
+
+
+def test_newton_matches_oracle_on_weibull_default_start(weibull):
+    # The default scaled-time start of the Weibull(5, 0.2) hybrid, where
+    # the forward pass is far from interpolating: Gauss-Seidel needs over
+    # a hundred sweeps, Newton a handful of iterations.
+    from heavytail_ph import fitting
+    from heavytail_ph.optimizer import pow2_points
+    s = fitting.body_scale(weibull, 100)
+    top = float(fitting.default_grid(weibull).points[-1])
+    pts = pow2_points(8, s * math.log(100), top) / s
+    Fbar = lambda t: targets_mod.ccdf(weibull, s * t)
+    assert assert_matches_oracle(Fbar, pts, complete=False) > 100
+
+
+def test_interpolation_system_jacobian_matches_differences():
+    # [DERIVED] central differences of the residual in log p and log lam.
+    rng = np.random.default_rng(7)
+    pts = np.sort(rng.uniform(0.5, 20.0, 6))[::-1]
+    fx = np.exp(-0.3 * pts) + 0.1 * np.exp(-0.05 * pts)
+    theta = np.log(np.concatenate([rng.uniform(0.05, 0.3, 3),
+                                   rng.uniform(0.02, 1.0, 3)]))
+    residual = lambda th: hefit.interpolation_system(
+        pts, fx, np.exp(th[:3]), np.exp(th[3:]))[0]
+    _, jac = hefit.interpolation_system(pts, fx, np.exp(theta[:3]),
+                                        np.exp(theta[3:]))
+    h = 1e-6
+    for i in range(6):
+        e = np.zeros(6)
+        e[i] = h
+        col = (residual(theta + e) - residual(theta - e)) / (2 * h)
+        assert jac[:, i] == pytest.approx(col, rel=1e-6, abs=1e-9)
 
 
 # -- evaluation and conversion --------------------------------------------

@@ -92,7 +92,7 @@ def test_basis_loss_equals_hybrid_ccdf_mae_exactly(pareto, grid):
     pts = pow2_points(8, 4.6, 1683.0)
     b = ev(pts)
     assert not ev.last_build_ok and b.pen_lambda == 0.0
-    p, lam = hefit.fit_defective_raw(Fbar, pts)
+    p, lam = hefit.fit_defective_raw(pts, [Fbar(x) for x in pts])
     check = np.concatenate([bph.grid_points(100), pts])
     res = (np.array([Fbar(x) for x in check])
            - np.exp(-np.multiply.outer(check, lam)) @ p)
