@@ -222,11 +222,19 @@ def _fit_config(target, methods, k, n, grid_size, grid_window, tail_window,
     return loss_weights, adam, grid, tail
 
 
-def _check_tail_start(target, grid) -> None:
-    """Exit EXIT_CONFIG when the hybrid's default HE points, which start at
-    the body edge, have no span below the grid top."""
+def _check_body_edge(target, method, grid, tail) -> None:
+    """Exit EXIT_CONFIG when the target's CCDF never falls to the level
+    that places the body edge (bph and bph_he), or when the hybrid's
+    default HE points, which start at that edge, have no span below the
+    grid top."""
+    if method == "he":
+        return
     level = fitting.BODY_EDGE_CCDF_LEVEL
-    if targets_mod.ccdf_inverse(target, level) >= grid.points[-1]:
+    try:
+        edge = targets_mod.ccdf_inverse(target, level)
+    except ValueError as exc:
+        _config_error(f"invalid target: {exc}")
+    if method == "bph_he" and tail is None and edge >= grid.points[-1]:
         _config_error(f"the target CCDF stays above {level:g} up to the grid "
                       f"top {grid.points[-1]:g}; set --tail-window")
 
@@ -286,8 +294,7 @@ def cmd_fit(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
               "adjust_mean": not no_adjust_mean}
     run = Run("fit", config, out, seed=seed, inputs=inputs)
     try:
-        if method == "bph_he" and tail is None:
-            _check_tail_start(target, grid)
+        _check_body_edge(target, method, grid, tail)
         outcome = _run_fit(target, method, k, n, grid, tail, loss_weights,
                            adam, no_optimize, adjust_mean=not no_adjust_mean)
     except InvalidModelError as exc:

@@ -188,7 +188,8 @@ def fit_bph_he(target, k: int = DEFAULT_K, n: int = bph_mod.DEFAULT_ORDER,
     tgrid = EvalGrid(points=grid.points / s)
     trace: list[LossBreakdown] = []
     if run_optimizer and k > 0:
-        points, trace = optimize(Fbar_s, k, n, tgrid, weights, adam, points)
+        points, trace = optimize(target, k, n, tgrid, weights, adam, points,
+                                 scale=s)
     hy = build_hybrid(Fbar_s, k, n, points,
                       meta={"he_points": [float(s * x) for x in points],
                             "k": k, "n": n, "body_scale": s,

@@ -30,16 +30,21 @@ class HybridModel:
     assembled: PhaseTypeModel
 
 
-def residual_ccdf(Fbar, he: HyperExp, nodes, points) -> np.ndarray:
+def residual_ccdf(Fbar, he: HyperExp, nodes, points,
+                  at_nodes=None) -> np.ndarray:
     """Residual G-bar(x) = Fbar(x) - HE(x) at the BPH nodes, clamped at 0.
 
     The residual is checked on the nodes and the HE fit points: it raises
     when it dips below -1e-6 there (the HE component overshoots the
-    target); dips within tolerance are clamped with a warning.
+    target); dips within tolerance are clamped with a warning. `at_nodes`,
+    when given, holds Fbar at the nodes, so only the points are evaluated.
     """
     nodes = np.asarray(nodes, dtype=float)
+    if at_nodes is None:
+        at_nodes = [float(Fbar(x)) for x in nodes]
     xs = np.concatenate([nodes, np.asarray(points, dtype=float)])
-    vals = np.array([float(Fbar(x)) for x in xs]) - he_ccdf(he, xs)
+    fx = np.concatenate([at_nodes, [float(Fbar(x)) for x in points]])
+    vals = fx - he_ccdf(he, xs)
     worst = float(vals.min()) if vals.size else 0.0
     if worst < -RESIDUAL_NEG_TOL:
         raise InvalidModelError(
@@ -50,16 +55,19 @@ def residual_ccdf(Fbar, he: HyperExp, nodes, points) -> np.ndarray:
     return np.maximum(vals[:nodes.size], 0.0)
 
 
-def build_hybrid(Fbar, k: int, n: int, points, meta=None) -> HybridModel:
+def build_hybrid(Fbar, k: int, n: int, points, meta=None,
+                 at_nodes=None) -> HybridModel:
     """Fit the defective HE at `points` (2k of them), then the BPH residual.
 
     With k = 0 (empty points) the hybrid degenerates to a pure BPH model.
+    `at_nodes` optionally holds Fbar at `bph.grid_points(n)`.
     """
     if k == 0:
         he = HyperExp(p=np.empty(0), lam=np.empty(0), defective=True)
     else:
         he = fit_defective(Fbar, points)
-    node_vals = residual_ccdf(Fbar, he, bph_mod.grid_points(n), points)
+    node_vals = residual_ccdf(Fbar, he, bph_mod.grid_points(n), points,
+                              at_nodes)
     # The HE terms vanish at +inf, so the residual there is the target's.
     component = bph_mod.build_from_ccdf(node_vals,
                                         max(float(Fbar(math.inf)), 0.0))

@@ -81,25 +81,26 @@ def validate(model: PhaseTypeModel) -> list[str]:
     """Return the list of violated invariants (empty when valid)."""
     issues = []
     alpha, A = model.alpha, model.A
-    for i, a in enumerate(alpha):
-        if a < -PROB_NOISE_TOL:
-            issues.append(f"alpha[{i}] negative: {a:.3e}")
-        if a > 1.0 + PROB_NOISE_TOL:
-            issues.append(f"alpha[{i}] exceeds 1: {a:.3e}")
+    for i in np.flatnonzero((alpha < -PROB_NOISE_TOL)
+                            | (alpha > 1.0 + PROB_NOISE_TOL)):
+        kind = "negative" if alpha[i] < 0 else "exceeds 1"
+        issues.append(f"alpha[{i}] {kind}: {alpha[i]:.3e}")
     total = float(alpha.sum())
     if total > 1.0 + PROB_NOISE_TOL or total < 0.0:
         issues.append(f"alpha sums to {total:.12f}, outside [0, 1]")
-    n = model.order
-    for i in range(n):
-        if A[i, i] >= 0:
-            issues.append(f"A[{i},{i}] nonnegative diagonal: {A[i, i]:.3e}")
-        for j in range(n):
-            if i != j and A[i, j] < 0:
-                issues.append(f"A[{i},{j}] negative off-diagonal: {A[i, j]:.3e}")
-        row_sum = float(A[i].sum())
-        if row_sum > 1e-9 * max(1.0, abs(A[i, i])):
-            issues.append(f"row {i} sums to {row_sum:.3e} > 0")
-    return issues
+    # Row by row: the diagonal, then negative off-diagonals, then the sum.
+    diag = np.diag(A)
+    row_sums = A.sum(axis=1)
+    found = [((i, 0, 0), f"A[{i},{i}] nonnegative diagonal: {diag[i]:.3e}")
+             for i in np.flatnonzero(diag >= 0)]
+    off = A < 0
+    np.fill_diagonal(off, False)
+    found += [((i, 1, j), f"A[{i},{j}] negative off-diagonal: {A[i, j]:.3e}")
+              for i, j in zip(*np.nonzero(off))]
+    bad_rows = row_sums > 1e-9 * np.maximum(1.0, np.abs(diag))
+    found += [((i, 2, 0), f"row {i} sums to {row_sums[i]:.3e} > 0")
+              for i in np.flatnonzero(bad_rows)]
+    return issues + [msg for _, msg in sorted(found)]
 
 
 def _require_valid(model: PhaseTypeModel) -> None:

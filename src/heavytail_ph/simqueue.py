@@ -51,12 +51,6 @@ class SimResult:
     qlen_pmf: np.ndarray
     unstable: bool
 
-    def mean(self, metric: str) -> float:
-        return self.estimates[metric][0]
-
-    def halfwidth(self, metric: str) -> float:
-        return self.estimates[metric][1]
-
     def to_dict(self) -> dict:
         return {
             "estimates": {k: {"mean": v[0], "halfwidth95": v[1]}

@@ -191,6 +191,10 @@ def ccdf_inverse(dist: TargetDistribution, u: float) -> float:
     """
     if not (0.0 < u < 1.0):
         raise ValueError(f"u must be in (0, 1), got {u}")
+    # A table whose last two values are equal continues flat, never lower.
+    if dist.kind == "tabulated" and u < ccdf(dist, math.inf):
+        raise ValueError(f"the tabulated CCDF ends flat at "
+                         f"{ccdf(dist, math.inf):g} and never falls to {u:g}")
     lo, hi = 0.0, 1.0
     for _ in range(2200):
         if ccdf(dist, hi) <= u:

@@ -3,10 +3,11 @@
 The benchmark's tracer wraps module-level functions (`hybrid.residual_ccdf`,
 `hefit.he_ccdf`, `bph.build_from_ccdf`, ...) and fails the run when an
 expected boundary never fires, so a refactor that calls around one of them
-shows up here. The run uses the full-size operation (20 Adam steps): the
-tiny size stops after 2 steps, where the fit's CV error (2.8e-2) is above
-the benchmark's 2e-2 check, so a tiny run never reads as correct.
-"""
+shows up here; the loss-evaluation count shows whether a feasible Adam
+step still costs one hybrid build. The run uses the full-size operation
+(20 Adam steps): the tiny size stops after 2 steps, where the fit's CV
+error (2.8e-2) is above the benchmark's 2e-2 check, so a tiny run never
+reads as correct."""
 
 import json
 import subprocess
@@ -25,3 +26,9 @@ def test_traced_fit_run_is_correct_and_fires_every_boundary():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert "never fired" not in proc.stderr
+    # Every build of the operation succeeds, so each Adam step scores its
+    # point once and takes the exact gradient from that same build.
+    metric = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metric["hybrid.build_ok_ratio"] == 1.0
+    assert metric["optimizer.loss_evals"] <= \
+        2.0 * (metric["optimizer.adam_steps"] + 1.0)

@@ -91,9 +91,12 @@ def test_fit_failure_exit_code(runner, tmp_path):
     ["fit", "--target", "pareto", "--shape", "3.1", "--grid-size", "1"],
     ["fit", "--target", "pareto", "--shape", "3.1", "--tail-window", "5,1"],
     ["fit", "--target-csv", "{high}"],
+    ["fit", "--target-csv", "{flat_above_median}"],
+    ["fit", "--target-csv", "{flat_below_median}"],
 ], ids=["bad-weights", "bph-order-0", "k-0", "jobs-not-above-warmup",
         "malformed-model", "he-k-1", "lr-0", "grid-size-1",
-        "reversed-tail-window", "csv-ccdf-stays-high"])
+        "reversed-tail-window", "csv-ccdf-stays-high",
+        "csv-flat-tail-above-median", "csv-flat-tail-below-median"])
 def test_bad_config_exits_with_config_code(runner, tmp_path, args):
     # Config errors exit EXIT_CONFIG with a one-line message, never a
     # traceback.
@@ -102,8 +105,15 @@ def test_bad_config_exits_with_config_code(runner, tmp_path, args):
     # A table whose CCDF stays high puts the body edge above the grid.
     high = tmp_path / "high.csv"
     high.write_text("x,ccdf\n0,1.0\n1,0.9\n2,0.8\n")
-    args = ([a.format(bad=bad, high=high) for a in args]
-            + ["--out", str(tmp_path)])
+    # Tables whose last two values are equal continue flat: the CCDF never
+    # reaches the median (0.8) or never the body-edge level (0.3).
+    tables = {"flat_above_median": "x,ccdf\n0,1.0\n1,0.8\n2,0.8\n",
+              "flat_below_median": "x,ccdf\n0,1.0\n1,0.3\n2,0.3\n"}
+    for name, text in tables.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    args = ([a.format(bad=bad, high=high,
+                      **{name: tmp_path / f"{name}.csv" for name in tables})
+             for a in args] + ["--out", str(tmp_path)])
     result = runner.invoke(cli.main, args, catch_exceptions=False)
     assert result.exit_code == cli.EXIT_CONFIG
     assert len(result.output.strip().splitlines()) == 1

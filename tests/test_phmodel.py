@@ -10,9 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from heavytail_ph import phmodel
+from heavytail_ph.constants import PROB_NOISE_TOL
 from heavytail_ph.phmodel import PhaseTypeModel
 
 from conftest import random_stable_ph
@@ -58,6 +61,55 @@ def test_validate_accepts_random_models():
     rng = np.random.default_rng(7)
     for order in (1, 3, 6):
         assert phmodel.validate(random_stable_ph(rng, order)) == []
+
+
+def _validate_loop(model):
+    """Per-entry reference for phmodel.validate, the loop it replaced."""
+    issues = []
+    alpha, A = model.alpha, model.A
+    for i, a in enumerate(alpha):
+        if a < -PROB_NOISE_TOL:
+            issues.append(f"alpha[{i}] negative: {a:.3e}")
+        if a > 1.0 + PROB_NOISE_TOL:
+            issues.append(f"alpha[{i}] exceeds 1: {a:.3e}")
+    total = float(alpha.sum())
+    if total > 1.0 + PROB_NOISE_TOL or total < 0.0:
+        issues.append(f"alpha sums to {total:.12f}, outside [0, 1]")
+    n = model.order
+    for i in range(n):
+        if A[i, i] >= 0:
+            issues.append(f"A[{i},{i}] nonnegative diagonal: {A[i, i]:.3e}")
+        for j in range(n):
+            if i != j and A[i, j] < 0:
+                issues.append(f"A[{i},{j}] negative off-diagonal: {A[i, j]:.3e}")
+        row_sum = float(A[i].sum())
+        if row_sum > 1e-9 * max(1.0, abs(A[i, i])):
+            issues.append(f"row {i} sums to {row_sum:.3e} > 0")
+    return issues
+
+
+@given(order=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       breaks=st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_validate_matches_per_entry_loop(order, seed, breaks):
+    # [DERIVED] the array checks report the same messages, in the same
+    # order, as the per-entry loop, on valid models and on models with
+    # random entries overwritten (any invariant may break).
+    rng = np.random.default_rng(seed)
+    m = random_stable_ph(rng, order)
+    alpha, A = m.alpha.copy(), m.A.copy()
+    for _ in range(breaks):
+        i, j = rng.integers(order, size=2)
+        kind = rng.random()
+        if kind < 0.3:
+            alpha[i] = rng.uniform(-1.0, 2.0)
+        elif kind < 0.5:
+            # A row sum on either side of its tolerance, 1e-9 * |diagonal|.
+            A[i, i] -= A[i].sum() - rng.uniform(0.0, 2e-9) * abs(A[i, i])
+        else:
+            A[i, j] = rng.uniform(-2.0, 2.0)
+    m = PhaseTypeModel(alpha=alpha, A=A)
+    assert phmodel.validate(m) == _validate_loop(m)
 
 
 def test_proper_and_defective():

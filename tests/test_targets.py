@@ -180,6 +180,17 @@ def test_tabulated_flat_head_and_power_tail():
     assert targets.ccdf(dist, 100.0) == pytest.approx(0.005, rel=1e-10)
 
 
+def test_ccdf_inverse_rejects_levels_below_a_flat_tail():
+    # A table whose last two values are equal continues flat at 0.3, so no
+    # x has a CCDF below it; the inverse says so instead of searching.
+    dist = TargetDistribution(kind="tabulated", params={},
+                              table=((0.0, 1.0, 2.0), (1.0, 0.3, 0.3)))
+    with pytest.raises(ValueError, match="ends flat at 0.3"):
+        targets.ccdf_inverse(dist, 0.005)
+    x = targets.ccdf_inverse(dist, 0.5)
+    assert targets.ccdf(dist, x) == pytest.approx(0.5, rel=1e-8)
+
+
 # -- serialization ---------------------------------------------------------
 
 def test_json_roundtrip(tmp_path, lognormal):
