@@ -479,6 +479,11 @@ def cmd_simulate(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
     else:
         target, inputs = _resolve_target(target_kind, target_json, target_csv,
                                          shape, c, d, mu, sigma, scale, window)
+        # A table that ends flat leaves mass at infinity: no finite draws.
+        mass = targets_mod.ccdf(target, np.inf)
+        if mass > 0:
+            _config_error(f"invalid target: the CCDF ends flat at {mass:g}, "
+                          f"so it cannot be sampled")
         service = simqueue.target_service(target)
         source = {"target": target.to_dict()}
     run = Run("simulate", {**source, "lam": lam, "jobs": jobs,

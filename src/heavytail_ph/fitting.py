@@ -96,8 +96,8 @@ def body_scale(target: targets_mod.TargetDistribution,
     return edge / math.log(max(n, 2))
 
 
-def _apply_mean_adjust(model, target, adjust: bool):
-    """Optionally rescale the model to the window-numeric target mean.
+def _apply_mean_adjust(model, m_real: float, adjust: bool):
+    """Optionally rescale the model to the window-numeric target mean m_real.
 
     Returns the (possibly rescaled) model and the time-compression ratio
     applied to evaluation arguments (1.0 when no adjustment is made). The
@@ -105,7 +105,6 @@ def _apply_mean_adjust(model, target, adjust: bool):
     """
     if not adjust:
         return model, 1.0
-    m_real = targets_mod.numeric_moment(target, 1, target.window)
     ratio = phmodel.mean(model) / m_real
     return phmodel.scale_to_mean(model, m_real), ratio
 
@@ -116,8 +115,10 @@ def grid_mae(target, model_ccdf, grid: EvalGrid) -> float:
     return float(np.mean(np.abs(y - y_hat)))
 
 
-def _report(target, method, model, model_ccdf, grid, he_points=()) -> FitReport:
-    m1, _, cv_real = targets_mod.numeric_stats(target)
+def _report(target, stats, method, model, model_ccdf, grid,
+            he_points=()) -> FitReport:
+    """Fit report; `stats` is the target's numeric_stats over its window."""
+    m1, _, cv_real = stats
     return FitReport(method=method,
                      mae=grid_mae(target, model_ccdf, grid),
                      mean_real=m1, mean_approx=phmodel.moment(model, 1),
@@ -138,9 +139,10 @@ def fit_bph(target, n: int = bph_mod.DEFAULT_ORDER,
                                        "body_scale": s})
     model = PhaseTypeModel(alpha=base.alpha, A=base.A / s,
                            meta=dict(base.meta))
-    model, ratio = _apply_mean_adjust(model, target, adjust_mean)
+    stats = targets_mod.numeric_stats(target)
+    model, ratio = _apply_mean_adjust(model, stats[0], adjust_mean)
     u = ratio / s
-    report = _report(target, "bph", model,
+    report = _report(target, stats, "bph", model,
                      lambda xs: bph_mod.bernstein_ccdf(
                          component, np.asarray(xs, dtype=float) * u), grid)
     return FitOutcome(model=model, report=report)
@@ -154,8 +156,9 @@ def fit_he(target, k: int = DEFAULT_K, points=None,
         points = pow2_points(2 * k - 1, *tail_window(target))
     he = hefit.fit_complete(lambda x: targets_mod.ccdf(target, x), points)
     model = hefit.to_phase_type(he, meta={"source_target": target.to_dict()})
-    model, ratio = _apply_mean_adjust(model, target, adjust_mean)
-    report = _report(target, "he", model,
+    stats = targets_mod.numeric_stats(target)
+    model, ratio = _apply_mean_adjust(model, stats[0], adjust_mean)
+    report = _report(target, stats, "he", model,
                      lambda xs: hefit.he_ccdf(
                          he, np.asarray(xs, dtype=float) * ratio),
                      grid, he_points=points)
@@ -196,9 +199,10 @@ def fit_bph_he(target, k: int = DEFAULT_K, n: int = bph_mod.DEFAULT_ORDER,
                             "source_target": target.to_dict()})
     model = PhaseTypeModel(alpha=hy.assembled.alpha, A=hy.assembled.A / s,
                            meta=dict(hy.assembled.meta))
-    model, ratio = _apply_mean_adjust(model, target, adjust_mean)
+    stats = targets_mod.numeric_stats(target)
+    model, ratio = _apply_mean_adjust(model, stats[0], adjust_mean)
     u = ratio / s
-    report = _report(target, "bph_he", model,
+    report = _report(target, stats, "bph_he", model,
                      lambda xs: hybrid_ccdf(
                          hy, np.asarray(xs, dtype=float) * u),
                      grid, he_points=s * points)

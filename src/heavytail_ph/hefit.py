@@ -213,20 +213,17 @@ def fit_defective(Fbar, points) -> HyperExp:
 
 
 def he_ccdf(he: HyperExp, x) -> float | np.ndarray:
-    """Mixture CCDF: sum_i p[i] exp(-lam[i] x).
+    """Mixture CCDF: sum_i p[i] exp(-lam[i] x), at a scalar or an array.
 
-    On an array each value is one dot product of that point's exponential
-    terms with p, so it equals the scalar result at that point exactly; a
-    single matrix-vector product would sum in a different order.
+    Every point's terms are summed along the last axis, for a scalar as for
+    an array, so each array value equals the scalar result at that point
+    exactly.
     """
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0):
         raise ValueError("x must be nonnegative")
-    terms = np.exp(-np.multiply.outer(xs, he.lam))
-    if xs.ndim == 0:
-        return float(terms @ he.p)
-    return np.array([row @ he.p for row in terms.reshape(xs.size, he.k)]
-                    ).reshape(xs.shape)
+    vals = (np.exp(-np.multiply.outer(xs, he.lam)) * he.p).sum(axis=-1)
+    return float(vals) if xs.ndim == 0 else vals
 
 
 def to_phase_type(he: HyperExp, meta=None):

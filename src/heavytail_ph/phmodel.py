@@ -67,9 +67,15 @@ class PhaseTypeModel:
                    meta=dict(doc.get("meta", {})))
 
     def save(self, path) -> None:
+        """Write the model as JSON, one row of A per line, through json.dumps
+        (the C encoder; json.dump to a file and any indent are pure Python)."""
+        doc = self.to_dict()
+        rows = ",\n    ".join(map(json.dumps, doc["A"]))
         with open(path, "w") as fh:
-            json.dump({"format": 1, **self.to_dict()}, fh, indent=2)
-            fh.write("\n")
+            fh.write(f'{{\n  "format": 1,\n'
+                     f'  "alpha": {json.dumps(doc["alpha"])},\n'
+                     f'  "A": [\n    {rows}\n  ],\n'
+                     f'  "meta": {json.dumps(doc["meta"])}\n}}\n')
 
     @classmethod
     def load(cls, path) -> "PhaseTypeModel":

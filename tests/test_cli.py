@@ -93,10 +93,13 @@ def test_fit_failure_exit_code(runner, tmp_path):
     ["fit", "--target-csv", "{high}"],
     ["fit", "--target-csv", "{flat_above_median}"],
     ["fit", "--target-csv", "{flat_below_median}"],
+    ["simulate", "--target-csv", "{flat_below_median}", "--jobs", "2000",
+     "--warmup", "100", "--replications", "2"],
 ], ids=["bad-weights", "bph-order-0", "k-0", "jobs-not-above-warmup",
         "malformed-model", "he-k-1", "lr-0", "grid-size-1",
         "reversed-tail-window", "csv-ccdf-stays-high",
-        "csv-flat-tail-above-median", "csv-flat-tail-below-median"])
+        "csv-flat-tail-above-median", "csv-flat-tail-below-median",
+        "simulate-csv-flat-tail"])
 def test_bad_config_exits_with_config_code(runner, tmp_path, args):
     # Config errors exit EXIT_CONFIG with a one-line message, never a
     # traceback.
@@ -106,7 +109,8 @@ def test_bad_config_exits_with_config_code(runner, tmp_path, args):
     high = tmp_path / "high.csv"
     high.write_text("x,ccdf\n0,1.0\n1,0.9\n2,0.8\n")
     # Tables whose last two values are equal continue flat: the CCDF never
-    # reaches the median (0.8) or never the body-edge level (0.3).
+    # reaches the median (0.8) or never the body-edge level (0.3), and
+    # leaves mass at infinity that no simulation can draw.
     tables = {"flat_above_median": "x,ccdf\n0,1.0\n1,0.8\n2,0.8\n",
               "flat_below_median": "x,ccdf\n0,1.0\n1,0.3\n2,0.3\n"}
     for name, text in tables.items():

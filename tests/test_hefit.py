@@ -283,12 +283,12 @@ def test_he_ccdf_vectorized():
     assert vals[1] == pytest.approx(0.5 * math.exp(-1) + 0.5 * math.exp(-2))
 
 
-@given(seed=st.integers(0, 10_000), k=st.integers(0, 6))
+@given(seed=st.integers(0, 10_000), k=st.integers(0, 12))
 @settings(max_examples=40, deadline=None)
 def test_he_ccdf_array_equals_scalar_exactly(seed, k):
     # The array path must give the scalar result at every point, bit for
-    # bit: the hybrid residual evaluates the tail on arrays, and an ulp
-    # there is amplified by the finite-difference gradient.
+    # bit: hybrid builds evaluate the tail on arrays and must equal the
+    # per-point reference. k >= 8 covers numpy's unrolled pairwise sum.
     rng = np.random.default_rng(seed)
     he = HyperExp(p=rng.random(k) / max(k, 1),
                   lam=10.0 ** rng.uniform(-4.0, 1.0, k))

@@ -6,7 +6,9 @@ cross-checking uniformization on random generators, and sample moments
 for the chain simulator.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,9 @@ from heavytail_ph.constants import PROB_NOISE_TOL
 from heavytail_ph.phmodel import PhaseTypeModel
 
 from conftest import random_stable_ph
+
+STORED_HYBRID = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                 / "pareto31_hybrid_k4_n100.json")
 
 
 def exponential_model(rate):
@@ -223,13 +228,20 @@ def test_scale_to_mean_rejects_nonpositive():
 # -- persistence -----------------------------------------------------------
 
 def test_save_load_roundtrip(tmp_path):
+    # A random model without meta, and the stored order-104 Pareto(3.1)
+    # hybrid with its fit metadata.
     rng = np.random.default_rng(9)
-    m = random_stable_ph(rng, 3)
-    path = tmp_path / "model.json"
-    m.save(path)
-    back = PhaseTypeModel.load(path)
-    assert np.array_equal(back.alpha, m.alpha)
-    assert np.array_equal(back.A, m.A)
+    models = [random_stable_ph(rng, 3), PhaseTypeModel.load(STORED_HYBRID)]
+    for m in models:
+        path = tmp_path / "model.json"
+        m.save(path)
+        back = PhaseTypeModel.load(path)
+        assert np.array_equal(back.alpha, m.alpha)
+        assert np.array_equal(back.A, m.A)
+        assert back.meta == m.meta
+        with open(path) as fh:
+            assert json.load(fh) == {"format": 1, **m.to_dict()}
+    assert models[1].order == 104 and models[1].meta["kind"] == "bph_he"
 
 
 # -- sampling --------------------------------------------------------------
