@@ -1,20 +1,18 @@
-"""Bernstein phase-type approximation of a CDF or CCDF.
+"""Bernstein phase-type body: initial probabilities from a CCDF.
 
-The initial probabilities are read off the target function at the points
-log(n/i); the generator is a fixed bidiagonal matrix with rates 1..n that
-does not depend on the target.
+The initial probabilities are the increments of the target CCDF at the
+points log(n/i); the generator is a fixed bidiagonal matrix with rates 1..n
+that does not depend on the target. A BPH-only model is the hybrid with no
+tail terms (see `hybrid.build_hybrid`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import bernstein_he_ccdf
-from .constants import PROB_NOISE_TOL, PROPER_SUM_TOL, WEIGHT_NEG_TOL
-from .phmodel import PhaseTypeModel
+from .constants import WEIGHT_NEG_TOL
 
 DEFAULT_ORDER = 100
 
@@ -34,10 +32,6 @@ class BphComponent:
         object.__setattr__(self, "weights", w)
 
     @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-    @property
     def node_values(self) -> np.ndarray:
         """Function values at log(n/i), i = 1..n (cumulative weights)."""
         return np.cumsum(self.weights)
@@ -49,36 +43,19 @@ def grid_points(n: int) -> np.ndarray:
     return np.log(n / i)
 
 
-def build_from_cdf(F, n: int) -> BphComponent:
-    """Weights [F(inf)-F(log n), F(log n)-F(log(n/2)), ..., F(log(n/(n-1)))-F(0)].
-
-    The i=0 division by zero in the underlying polynomial is resolved as the
-    limit F(inf); callers pass an evaluator whose value at +inf is taken as
-    the limit of F along the window (evaluated at a large argument).
-    """
-    pts = grid_points(n)
-    f_inf = float(F(math.inf))
-    vals = np.array([float(F(x)) for x in pts])
-    upper = np.concatenate(([f_inf], vals[:-1]))
-    return _component_from_diffs(n, upper - vals)
-
-
-def build_from_ccdf(values, at_inf: float) -> BphComponent:
-    """CCDF twin of build_from_cdf, from the values at grid_points(n) and
-    the value at +inf; accepts defective functions (value < 1 at 0)."""
+def build_from_ccdf(values) -> BphComponent:
+    """Weights from the CCDF values at grid_points(n), which must not fall
+    from x = log n down to 0: [G(log n), G(log(n/2)) - G(log n), ...,
+    G(0) - G(log(n/(n-1)))]. The first weight takes G(+inf) = 0, and G(0)
+    may be below 1 (a defective body)."""
     vals = np.asarray(values, dtype=float)
-    lower = np.concatenate(([float(at_inf)], vals[:-1]))
-    return _component_from_diffs(vals.size, vals - lower)
-
-
-def _component_from_diffs(n: int, diffs: np.ndarray) -> BphComponent:
-    bad = diffs < -WEIGHT_NEG_TOL
-    if np.any(bad):
+    diffs = vals - np.concatenate(([0.0], vals[:-1]))
+    if np.any(diffs < -WEIGHT_NEG_TOL):
         idx = int(np.argmin(diffs))
         raise ValueError(
             f"negative BPH weight {diffs[idx]:.3e} at index {idx}: "
             "input evaluator is not monotone")
-    return BphComponent(order=n, weights=np.maximum(diffs, 0.0))
+    return BphComponent(order=vals.size, weights=np.maximum(diffs, 0.0))
 
 
 def generator(n: int) -> np.ndarray:
@@ -89,24 +66,3 @@ def generator(n: int) -> np.ndarray:
     A = np.diag(-rates)
     A[np.arange(n - 1), np.arange(1, n)] = rates[:-1]
     return A
-
-
-def to_phase_type(component: BphComponent, meta=None) -> PhaseTypeModel:
-    """Assemble a proper BPH model (defective components go via the hybrid)."""
-    total = component.total_mass
-    if abs(total - 1.0) > PROPER_SUM_TOL:
-        raise ValueError(
-            f"component is defective (weights sum to {total:.12f}); "
-            "combine it through the hybrid module instead")
-    weights = component.weights.copy()
-    # Fold sub-tolerance residual into the largest weight.
-    weights[np.argmax(weights)] += 1.0 - total
-    return PhaseTypeModel(alpha=weights, A=generator(component.order),
-                          meta={"kind": "bph", "order_bph": component.order,
-                                **(meta or {})})
-
-
-def bernstein_ccdf(component: BphComponent, xs) -> np.ndarray:
-    """Direct closed-form CCDF of the component (no matrix exponential)."""
-    return bernstein_he_ccdf(component.node_values, np.empty(0), np.empty(0),
-                             np.asarray(xs, dtype=float))

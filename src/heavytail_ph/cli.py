@@ -141,29 +141,35 @@ def target_options(fn):
 
 def _resolve_target(target_kind, target_json, target_csv, shape, c, d, mu,
                     sigma, scale, window):
+    """The target and its input files; a target that cannot be read or
+    built exits EXIT_CONFIG."""
     window_t = _parse_window(window) if window else targets_mod.DEFAULT_WINDOW
     given = [bool(target_kind), bool(target_json), bool(target_csv)]
     if sum(given) != 1:
         raise click.UsageError(
             "specify exactly one of --target, --target-json, --target-csv")
-    if target_json:
-        return targets_mod.TargetDistribution.from_json(target_json), [target_json]
-    if target_csv:
-        return targets_mod.TargetDistribution.from_csv(
-            target_csv, window=window_t), [target_csv]
     params_by_kind = {
         "pareto": {"shape": shape},
         "burr": {"c": c, "d": d},
         "lognormal": {"mu": mu, "sigma": sigma},
         "weibull": {"scale": scale, "shape": shape},
     }
-    params = params_by_kind[target_kind]
+    params = params_by_kind.get(target_kind, {})
     missing = [k for k, v in params.items() if v is None]
     if missing:
         raise click.UsageError(
             f"--target {target_kind} requires --" + ", --".join(missing))
-    return targets_mod.TargetDistribution(kind=target_kind, params=params,
-                                          window=window_t), []
+    try:
+        if target_json:
+            return (targets_mod.TargetDistribution.from_json(target_json),
+                    [target_json])
+        if target_csv:
+            return targets_mod.TargetDistribution.from_csv(
+                target_csv, window=window_t), [target_csv]
+        return targets_mod.TargetDistribution(kind=target_kind, params=params,
+                                              window=window_t), []
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        _config_error(f"invalid target: {exc}")
 
 
 _FIT_OPTIONS = [
@@ -223,18 +229,12 @@ def _fit_config(target, methods, k, n, grid_size, grid_window, tail_window,
 
 
 def _check_body_edge(target, method, grid, tail) -> None:
-    """Exit EXIT_CONFIG when the target's CCDF never falls to the level
-    that places the body edge (bph and bph_he), or when the hybrid's
-    default HE points, which start at that edge, have no span below the
-    grid top."""
-    if method == "he":
+    """Exit EXIT_CONFIG when the hybrid's default HE points, which start
+    at the body edge, have no span below the grid top."""
+    if method != "bph_he" or tail is not None:
         return
     level = fitting.BODY_EDGE_CCDF_LEVEL
-    try:
-        edge = targets_mod.ccdf_inverse(target, level)
-    except ValueError as exc:
-        _config_error(f"invalid target: {exc}")
-    if method == "bph_he" and tail is None and edge >= grid.points[-1]:
+    if targets_mod.ccdf_inverse(target, level) >= grid.points[-1]:
         _config_error(f"the target CCDF stays above {level:g} up to the grid "
                       f"top {grid.points[-1]:g}; set --tail-window")
 
@@ -479,11 +479,6 @@ def cmd_simulate(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
     else:
         target, inputs = _resolve_target(target_kind, target_json, target_csv,
                                          shape, c, d, mu, sigma, scale, window)
-        # A table that ends flat leaves mass at infinity: no finite draws.
-        mass = targets_mod.ccdf(target, np.inf)
-        if mass > 0:
-            _config_error(f"invalid target: the CCDF ends flat at {mass:g}, "
-                          f"so it cannot be sampled")
         service = simqueue.target_service(target)
         source = {"target": target.to_dict()}
     run = Run("simulate", {**source, "lam": lam, "jobs": jobs,

@@ -127,25 +127,34 @@ def _report(target, stats, method, model, model_ccdf, grid,
                      he_points=[float(x) for x in he_points])
 
 
-def fit_bph(target, n: int = bph_mod.DEFAULT_ORDER,
-            grid: EvalGrid | None = None,
-            adjust_mean: bool = True) -> FitOutcome:
-    grid = grid or default_grid(target)
-    s = body_scale(target, n)
-    component = bph_mod.build_from_cdf(
-        lambda t: targets_mod.cdf(target, s * t), n)
-    base = bph_mod.to_phase_type(component,
-                                 meta={"source_target": target.to_dict(),
-                                       "body_scale": s})
-    model = PhaseTypeModel(alpha=base.alpha, A=base.A / s,
-                           meta=dict(base.meta))
+def _hybrid_outcome(target, method, k, n, s, points, grid, adjust_mean,
+                    meta, trace=()) -> FitOutcome:
+    """Build the hybrid at the scaled-time `points`, divide its generator
+    by the time scale s, adjust the mean and report on the grid."""
+    hy = build_hybrid(lambda t: targets_mod.ccdf(target, s * t), k, n,
+                      points, meta={**meta, "body_scale": s,
+                                    "source_target": target.to_dict()})
+    model = PhaseTypeModel(alpha=hy.assembled.alpha, A=hy.assembled.A / s,
+                           meta=dict(hy.assembled.meta))
     stats = targets_mod.numeric_stats(target)
     model, ratio = _apply_mean_adjust(model, stats[0], adjust_mean)
     u = ratio / s
-    report = _report(target, stats, "bph", model,
-                     lambda xs: bph_mod.bernstein_ccdf(
-                         component, np.asarray(xs, dtype=float) * u), grid)
-    return FitOutcome(model=model, report=report)
+    report = _report(target, stats, method, model,
+                     lambda xs: hybrid_ccdf(
+                         hy, np.asarray(xs, dtype=float) * u),
+                     grid, he_points=s * points)
+    return FitOutcome(model=model, report=report, hybrid=hy,
+                      trace=list(trace))
+
+
+def fit_bph(target, n: int = bph_mod.DEFAULT_ORDER,
+            grid: EvalGrid | None = None,
+            adjust_mean: bool = True) -> FitOutcome:
+    """BPH-only fit: the hybrid with no tail terms."""
+    grid = grid or default_grid(target)
+    s = body_scale(target, n)
+    return _hybrid_outcome(target, "bph", 0, n, s, np.empty(0), grid,
+                           adjust_mean, meta={"kind": "bph"})
 
 
 def fit_he(target, k: int = DEFAULT_K, points=None,
@@ -175,7 +184,6 @@ def fit_bph_he(target, k: int = DEFAULT_K, n: int = bph_mod.DEFAULT_ORDER,
     weights = weights or LossWeights()
     adam = adam or AdamConfig()
     s = body_scale(target, n)
-    Fbar_s = lambda t: targets_mod.ccdf(target, s * t)
     if init_points is None:
         # Start the HE points at the body edge and spread them to the top
         # of the evaluation grid: the power-of-two layout then covers the
@@ -193,20 +201,11 @@ def fit_bph_he(target, k: int = DEFAULT_K, n: int = bph_mod.DEFAULT_ORDER,
     if run_optimizer and k > 0:
         points, trace = optimize(target, k, n, tgrid, weights, adam, points,
                                  scale=s)
-    hy = build_hybrid(Fbar_s, k, n, points,
-                      meta={"he_points": [float(s * x) for x in points],
-                            "k": k, "n": n, "body_scale": s,
-                            "source_target": target.to_dict()})
-    model = PhaseTypeModel(alpha=hy.assembled.alpha, A=hy.assembled.A / s,
-                           meta=dict(hy.assembled.meta))
-    stats = targets_mod.numeric_stats(target)
-    model, ratio = _apply_mean_adjust(model, stats[0], adjust_mean)
-    u = ratio / s
-    report = _report(target, stats, "bph_he", model,
-                     lambda xs: hybrid_ccdf(
-                         hy, np.asarray(xs, dtype=float) * u),
-                     grid, he_points=s * points)
-    return FitOutcome(model=model, report=report, hybrid=hy, trace=trace)
+    return _hybrid_outcome(target, "bph_he", k, n, s, points, grid,
+                           adjust_mean,
+                           meta={"he_points": [float(s * x) for x in points],
+                                 "k": k, "n": n},
+                           trace=trace)
 
 
 FIT_METHODS = {"bph": fit_bph, "he": fit_he, "bph_he": fit_bph_he}

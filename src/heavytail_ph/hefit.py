@@ -1,8 +1,9 @@
 """Recursive hyperexponential fitting of a CCDF at prescribed points.
 
-Two variants: the complete fit interpolates at 2k-1 points and closes with
-the normalization constraint; the defective fit uses 2k points and leaves
-the total weight below 1, for use as the tail component of a hybrid model.
+Two variants: the defective fit interpolates at 2k points and leaves the
+total weight below 1, for use as the tail component of a hybrid model; the
+complete fit is the same fit at 2k-1 points plus the point x = 0 with
+value 1, the normalization Fbar(0) = 1.
 
 A forward pass fits the terms from the farthest points inward; each
 exponential term is solved from two points of the residual CCDF (target
@@ -113,31 +114,12 @@ def _check_stages(p: np.ndarray, lam: np.ndarray) -> None:
             problem = "nonpositive residual"
         elif lam_i <= 0:
             problem = f"nonpositive rate {lam_i:.3e}"
-        elif not 0.0 < p_i < 1.0:
-            problem = f"weight {p_i:.3e} outside (0,1)"
+        # p_i may equal 1 exactly (k = 1 complete fit: the whole mass).
+        elif not 0.0 < p_i <= 1.0:
+            problem = f"weight {p_i:.3e} outside (0,1]"
         else:
             continue
         raise InvalidModelError(f"{problem} at stage {stage}", stage=stage)
-
-
-def _solve_closing(x_last: float, f_last: float, p, lam, k: int):
-    """Closing term of the complete fit: weight from normalization, rate
-    from the last point."""
-    p_k = 1.0 - math.fsum(p)
-    r_last = _residual(f_last, x_last, p, lam)
-    if r_last <= 0:
-        raise InvalidModelError(
-            f"nonpositive residual {r_last:.3e} at the closing point", stage=k)
-    # p_k may equal 1 exactly (k = 1: the whole mass closes the fit).
-    if not (0.0 < p_k <= 1.0):
-        raise InvalidModelError(f"closing weight {p_k:.3e} outside (0,1]",
-                                stage=k)
-    ratio = r_last / p_k
-    if ratio >= 1.0:
-        raise InvalidModelError(
-            f"closing rate would be nonpositive (residual {r_last:.3e} >= "
-            f"weight {p_k:.3e} at x={x_last:g})", stage=k)
-    return p_k, -math.log(ratio) / x_last
 
 
 def interpolation_system(pts, fx, p, lam):
@@ -180,19 +162,22 @@ def _newton(pts, fx, p, lam):
         "interpolation solve did not converge for these points", stage=k)
 
 
+def _fit(pts, fx):
+    """Forward pass, stage check and Newton solve: (p, lam) of the mixture
+    through the values fx at the descending points pts."""
+    p, lam = fit_defective_raw(pts, fx)
+    _check_stages(p, lam)
+    return _newton(pts, fx, p, lam)
+
+
 def fit_complete(Fbar, points) -> HyperExp:
-    """Fit a proper k-term mixture interpolating Fbar at 2k-1 points."""
+    """Fit a proper k-term mixture interpolating Fbar at 2k-1 points: the
+    defective fit through those points and x = 0, where the CCDF is 1."""
     pts = canonical_points(points, len(points))
     if pts.size % 2 == 0:
         raise ValueError("complete fit needs an odd number of points (2k-1)")
-    k = (pts.size + 1) // 2
-    fx = np.array([float(Fbar(x)) for x in pts])
-    p, lam = fit_defective_raw(pts[:-1], fx[:-1])
-    _check_stages(p, lam)
-    p_k, lam_k = _solve_closing(pts[-1], fx[-1], p, lam, k)
-    # Normalization is one more row: the mixture CCDF is 1 at x = 0.
-    p, lam = _newton(np.append(pts, 0.0), np.append(fx, 1.0),
-                     np.append(p, p_k), np.append(lam, lam_k))
+    fx = np.array([float(Fbar(x)) for x in pts] + [1.0])
+    p, lam = _fit(np.append(pts, 0.0), fx)
     return HyperExp(p=p, lam=lam, defective=False)
 
 
@@ -201,10 +186,7 @@ def fit_defective(Fbar, points) -> HyperExp:
     pts = canonical_points(points, len(points))
     if pts.size % 2 != 0:
         raise ValueError("defective fit needs an even number of points (2k)")
-    fx = np.array([float(Fbar(x)) for x in pts])
-    p, lam = fit_defective_raw(pts, fx)
-    _check_stages(p, lam)
-    p, lam = _newton(pts, fx, p, lam)
+    p, lam = _fit(pts, np.array([float(Fbar(x)) for x in pts]))
     total = math.fsum(p)
     if total >= 1.0:
         raise InvalidModelError(

@@ -9,7 +9,6 @@ diagonal block, with no transitions between the two.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -59,7 +58,8 @@ def build_hybrid(Fbar, k: int, n: int, points, meta=None,
                  at_nodes=None) -> HybridModel:
     """Fit the defective HE at `points` (2k of them), then the BPH residual.
 
-    With k = 0 (empty points) the hybrid degenerates to a pure BPH model.
+    With k = 0 (empty points) the hybrid is the BPH-only model. The target
+    must fall to 0 at +inf, as every `TargetDistribution` does.
     `at_nodes` optionally holds Fbar at `bph.grid_points(n)`.
     """
     if k == 0:
@@ -68,9 +68,7 @@ def build_hybrid(Fbar, k: int, n: int, points, meta=None,
         he = fit_defective(Fbar, points)
     node_vals = residual_ccdf(Fbar, he, bph_mod.grid_points(n), points,
                               at_nodes)
-    # The HE terms vanish at +inf, so the residual there is the target's.
-    component = bph_mod.build_from_ccdf(node_vals,
-                                        max(float(Fbar(math.inf)), 0.0))
+    component = bph_mod.build_from_ccdf(node_vals)
     assembled = _assemble(component, he, meta)
     return HybridModel(bph=component, he=he, assembled=assembled)
 

@@ -64,6 +64,11 @@ class TargetDistribution:
                 raise ValueError("table CCDF values must lie in (0, 1]")
             if np.any(np.diff(cc) > 0):
                 raise ValueError("table CCDF values must be nonincreasing")
+            # The power-law continuation beyond the table must fall to 0.
+            if cc[-1] == cc[-2] or xs[-2] <= 0:
+                raise ValueError(
+                    "table must end falling: the last two CCDF values must "
+                    "differ and the next-to-last x must be positive")
             object.__setattr__(self, "table", (xs, cc))
         else:
             if self.kind != "tabulated" and self.table is not None:
@@ -104,7 +109,7 @@ class TargetDistribution:
         xs, cc = [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            next(reader)  # header
+            next(reader, None)  # header
             for row in reader:
                 if not row:
                     continue
@@ -175,8 +180,6 @@ def _tabulated_ccdf(dist: TargetDistribution, x: float) -> float:
         return 1.0 if x == 0.0 else float(cc[0])
     if x > xs[-1]:
         # Power-law continuation from the slope of the last two points.
-        if xs[-2] <= 0 or cc[-1] == cc[-2]:
-            return float(cc[-1])
         slope = (math.log(cc[-1]) - math.log(cc[-2])) / \
                 (math.log(xs[-1]) - math.log(xs[-2]))
         return float(cc[-1] * (x / xs[-1]) ** slope)
@@ -191,10 +194,6 @@ def ccdf_inverse(dist: TargetDistribution, u: float) -> float:
     """
     if not (0.0 < u < 1.0):
         raise ValueError(f"u must be in (0, 1), got {u}")
-    # A table whose last two values are equal continues flat, never lower.
-    if dist.kind == "tabulated" and u < ccdf(dist, math.inf):
-        raise ValueError(f"the tabulated CCDF ends flat at "
-                         f"{ccdf(dist, math.inf):g} and never falls to {u:g}")
     lo, hi = 0.0, 1.0
     for _ in range(2200):
         if ccdf(dist, hi) <= u:

@@ -1,5 +1,7 @@
 """Shared fixtures: canonical targets and small reference models."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,13 @@ def random_stable_ph(rng, order):
     A = off.copy()
     np.fill_diagonal(A, -(off.sum(axis=1) + exit_rates))
     return PhaseTypeModel(alpha=alpha, A=A)
+
+
+def cdf_increments(F, n):
+    """Reference BPH weights from a CDF: [F(inf) - F(log n),
+    F(log n) - F(log(n/2)), ..., F(log(n/(n-1))) - F(0)], each increment
+    taken on the CDF rather than the CCDF."""
+    pts = np.log(n / np.arange(1, n + 1, dtype=float))
+    vals = np.array([float(F(x)) for x in pts])
+    upper = np.concatenate(([float(F(math.inf))], vals[:-1]))
+    return upper - vals

@@ -77,6 +77,21 @@ def test_fit_failure_exit_code(runner, tmp_path):
     assert result.exit_code == cli.EXIT_FIT_FAILURE
 
 
+# Targets that cannot be built or read: each must exit EXIT_CONFIG under
+# fit and under simulate.
+_BAD_TARGETS = {
+    "pareto-negative-shape": ["--target", "pareto", "--shape", "-1"],
+    "reversed-window": ["--target", "pareto", "--shape", "3.1",
+                        "--window", "5,1"],
+    "json-missing-shape": ["--target-json", "{no_shape}"],
+    "json-not-json": ["--target-json", "{bad}"],
+    "csv-rising-ccdf": ["--target-csv", "{rising}"],
+    "csv-non-numeric": ["--target-csv", "{non_numeric}"],
+    "csv-empty": ["--target-csv", "{empty}"],
+}
+_SMALL_SIM = ["--jobs", "2000", "--warmup", "100", "--replications", "2"]
+
+
 @pytest.mark.parametrize("args", [
     ["fit", "--target", "pareto", "--shape", "3.1", "--weights", "1,1,1"],
     ["fit", "--target", "pareto", "--shape", "3.1", "--bph-order", "0"],
@@ -93,29 +108,45 @@ def test_fit_failure_exit_code(runner, tmp_path):
     ["fit", "--target-csv", "{high}"],
     ["fit", "--target-csv", "{flat_above_median}"],
     ["fit", "--target-csv", "{flat_below_median}"],
-    ["simulate", "--target-csv", "{flat_below_median}", "--jobs", "2000",
-     "--warmup", "100", "--replications", "2"],
-], ids=["bad-weights", "bph-order-0", "k-0", "jobs-not-above-warmup",
-        "malformed-model", "he-k-1", "lr-0", "grid-size-1",
-        "reversed-tail-window", "csv-ccdf-stays-high",
-        "csv-flat-tail-above-median", "csv-flat-tail-below-median",
-        "simulate-csv-flat-tail"])
+    ["simulate", "--target-csv", "{flat_below_median}", *_SMALL_SIM],
+    ["fit", "--method", "bph", "--target-csv", "{flat_below_edge}"],
+    ["fit", "--method", "bph_he", "--k", "1", "--tail-window", "2,50",
+     "--target-csv", "{flat_in_tail}"],
+] + [["fit", *a] for a in _BAD_TARGETS.values()]
+  + [["simulate", *a, *_SMALL_SIM] for a in _BAD_TARGETS.values()],
+    ids=["bad-weights", "bph-order-0", "k-0", "jobs-not-above-warmup",
+         "malformed-model", "he-k-1", "lr-0", "grid-size-1",
+         "reversed-tail-window", "csv-ccdf-stays-high",
+         "csv-flat-tail-above-median", "csv-flat-tail-below-median",
+         "simulate-csv-flat-tail", "bph-csv-flat-below-body-edge",
+         "bph-he-csv-flat-in-tail"]
+    + [f"fit-{name}" for name in _BAD_TARGETS]
+    + [f"simulate-{name}" for name in _BAD_TARGETS])
 def test_bad_config_exits_with_config_code(runner, tmp_path, args):
     # Config errors exit EXIT_CONFIG with a one-line message, never a
     # traceback.
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    no_shape = tmp_path / "no_shape.json"
+    no_shape.write_text('{"kind": "pareto", "params": {}}')
     # A table whose CCDF stays high puts the body edge above the grid.
     high = tmp_path / "high.csv"
     high.write_text("x,ccdf\n0,1.0\n1,0.9\n2,0.8\n")
     # Tables whose last two values are equal continue flat: the CCDF never
-    # reaches the median (0.8) or never the body-edge level (0.3), and
-    # leaves mass at infinity that no simulation can draw.
+    # reaches the median (0.8), the body-edge level (0.3 and 0.001) or 0,
+    # and leaves mass at infinity that no simulation can draw.
     tables = {"flat_above_median": "x,ccdf\n0,1.0\n1,0.8\n2,0.8\n",
-              "flat_below_median": "x,ccdf\n0,1.0\n1,0.3\n2,0.3\n"}
+              "flat_below_median": "x,ccdf\n0,1.0\n1,0.3\n2,0.3\n",
+              "flat_below_edge": "x,ccdf\n0,1.0\n1,0.1\n10,0.001\n"
+                                 "20,0.001\n",
+              "flat_in_tail": "x,ccdf\n0,1.0\n1,0.3\n5,0.05\n20,0.004\n"
+                              "100,0.0009\n200,0.0009\n",
+              "rising": "x,ccdf\n0,1.0\n1,0.5\n2,0.7\n",
+              "non_numeric": "x,ccdf\n0,1.0\n1,abc\n2,0.1\n",
+              "empty": ""}
     for name, text in tables.items():
         (tmp_path / f"{name}.csv").write_text(text)
-    args = ([a.format(bad=bad, high=high,
+    args = ([a.format(bad=bad, high=high, no_shape=no_shape,
                       **{name: tmp_path / f"{name}.csv" for name in tables})
              for a in args] + ["--out", str(tmp_path)])
     result = runner.invoke(cli.main, args, catch_exceptions=False)

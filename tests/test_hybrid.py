@@ -13,6 +13,7 @@ import pytest
 
 from heavytail_ph import bph, fitting, hefit, hybrid, phmodel
 from heavytail_ph import targets as targets_mod
+from heavytail_ph._backend import bernstein_he_ccdf
 from heavytail_ph.constants import PROB_NOISE_TOL, RESIDUAL_NEG_TOL
 from heavytail_ph.errors import InvalidModelError
 from heavytail_ph.hefit import HyperExp
@@ -73,11 +74,12 @@ def test_k_zero_degenerates_to_bph(pareto_hybrid):
     dist, Fbar, _ = pareto_hybrid
     hy = hybrid.build_hybrid(Fbar, 0, 50, [])
     assert hy.he.k == 0
-    comp = bph.build_from_ccdf([Fbar(x) for x in bph.grid_points(50)], 0.0)
+    comp = bph.build_from_ccdf([Fbar(x) for x in bph.grid_points(50)])
     assert hy.bph.weights == pytest.approx(comp.weights, abs=1e-15)
     xs = np.linspace(0.0, 4.0, 10)
     assert hybrid.hybrid_ccdf(hy, xs) == pytest.approx(
-        bph.bernstein_ccdf(comp, xs), abs=1e-15)
+        bernstein_he_ccdf(comp.node_values, np.empty(0), np.empty(0), xs),
+        abs=1e-15)
 
 
 def test_overshooting_tail_rejected():

@@ -180,15 +180,21 @@ def test_tabulated_flat_head_and_power_tail():
     assert targets.ccdf(dist, 100.0) == pytest.approx(0.005, rel=1e-10)
 
 
-def test_ccdf_inverse_rejects_levels_below_a_flat_tail():
-    # A table whose last two values are equal continues flat at 0.3, so no
-    # x has a CCDF below it; the inverse says so instead of searching.
-    dist = TargetDistribution(kind="tabulated", params={},
-                              table=((0.0, 1.0, 2.0), (1.0, 0.3, 0.3)))
-    with pytest.raises(ValueError, match="ends flat at 0.3"):
-        targets.ccdf_inverse(dist, 0.005)
-    x = targets.ccdf_inverse(dist, 0.5)
-    assert targets.ccdf(dist, x) == pytest.approx(0.5, rel=1e-8)
+def test_tables_ending_flat_are_rejected():
+    # Beyond the table the CCDF continues as a power law through the last
+    # two points. Equal last values make it flat (mass 0.3 at infinity),
+    # and a next-to-last abscissa of 0 has no log-log slope: neither CCDF
+    # falls to 0, so neither is a target.
+    for xs, cc in [((0.0, 1.0, 2.0), (1.0, 0.3, 0.3)),
+                   ((0.0, 2.0), (1.0, 0.3))]:
+        with pytest.raises(ValueError, match="must end falling"):
+            TargetDistribution(kind="tabulated", params={}, table=(xs, cc))
+        # The same table ending one step lower is a target, and its CCDF
+        # falls below any level.
+        dist = TargetDistribution(kind="tabulated", params={},
+                                  table=(xs + (4.0,), cc + (0.1,)))
+        x = targets.ccdf_inverse(dist, 0.005)
+        assert targets.ccdf(dist, x) == pytest.approx(0.005, rel=1e-8)
 
 
 # -- serialization ---------------------------------------------------------
