@@ -3,10 +3,20 @@
 Both are plain numpy; BACKEND_NAME names this single implementation.
 """
 
+import math
+from functools import cache
+
 import numpy as np
-from scipy.special import gammaln
 
 BACKEND_NAME = "python"
+
+
+@cache
+def _log_binomials(n: int) -> np.ndarray:
+    """log C(n, i) for i = 1..n: one rounding of each exact integer."""
+    row = np.array([math.log(math.comb(n, i)) for i in range(1, n + 1)])
+    row.flags.writeable = False
+    return row
 
 
 def bernstein_basis(n: int, xs) -> np.ndarray:
@@ -19,7 +29,7 @@ def bernstein_basis(n: int, xs) -> np.ndarray:
     """
     xs = np.asarray(xs, dtype=float).ravel()
     i = np.arange(1, n + 1, dtype=float)
-    log_binom = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
+    log_binom = _log_binomials(n)
     basis = np.zeros((xs.size, n))
     pos = xs > 0.0
     x = xs[pos, None]

@@ -90,6 +90,12 @@ def _config_error(message: str):
     sys.exit(EXIT_CONFIG)
 
 
+def _non_convergence(exc: NonConvergenceError):
+    """Report a numerical failure on one line and exit EXIT_NON_CONVERGENCE."""
+    click.echo(f"numerical non-convergence: {exc}", err=True)
+    sys.exit(EXIT_NON_CONVERGENCE)
+
+
 def _load_model(path) -> phmodel.PhaseTypeModel:
     try:
         return phmodel.PhaseTypeModel.load(path)
@@ -301,8 +307,7 @@ def cmd_fit(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
         click.echo(f"fit failed: {exc}", err=True)
         sys.exit(EXIT_FIT_FAILURE)
     except NonConvergenceError as exc:
-        click.echo(f"numerical non-convergence: {exc}", err=True)
-        sys.exit(EXIT_NON_CONVERGENCE)
+        _non_convergence(exc)
 
     outcome.model.save(run.out / "model.json")
     run.outputs[str(run.out / "model.json")] = _sha256(run.out / "model.json")
@@ -484,7 +489,10 @@ def cmd_simulate(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
     run = Run("simulate", {**source, "lam": lam, "jobs": jobs,
                            "warmup": warmup, "replications": replications},
               out, seed=seed, inputs=inputs)
-    result = simqueue.run_mg1(config, service)
+    try:
+        result = simqueue.run_mg1(config, service)
+    except NonConvergenceError as exc:
+        _non_convergence(exc)
     doc = result.to_dict()
     run.write_json("sim_metrics.json",
                    {"estimates": doc["estimates"], "unstable": doc["unstable"]})

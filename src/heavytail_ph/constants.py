@@ -23,5 +23,6 @@ WEIGHT_NEG_TOL = 1e-9
 # Residual CCDF may dip this far below zero before the hybrid build fails.
 RESIDUAL_NEG_TOL = 1e-6
 
-# Relative tolerance of the adaptive quadrature behind reference moments.
-QUAD_REL_TOL = 1e-9
+# Reference moments: largest gap between the 20- and 40-point
+# Gauss-Legendre values of a segment, relative to the whole integral.
+MOMENT_REL_TOL = 1e-14

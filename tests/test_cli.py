@@ -6,6 +6,10 @@ paper-scale invocations live in test_acceptance.py.
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +158,25 @@ def test_bad_config_exits_with_config_code(runner, tmp_path, args):
     assert len(result.output.strip().splitlines()) == 1
 
 
+# A valid table whose CCDF falls too slowly: the body-edge level (fit) and
+# most simulation draws lie beyond the largest float.
+_SLOW_TABLE = "x,ccdf\n0,1.0\n1,0.3\n2,0.2999999\n"
+
+
+@pytest.mark.parametrize("command", [["fit", "--method", "bph"],
+                                     ["simulate", *_SMALL_SIM]],
+                         ids=["fit-bph", "simulate"])
+def test_slow_falling_table_exits_non_convergence(runner, tmp_path, command):
+    table = tmp_path / "slow.csv"
+    table.write_text(_SLOW_TABLE)
+    result = runner.invoke(cli.main, [*command, "--target-csv", str(table),
+                                      "--out", str(tmp_path)],
+                           catch_exceptions=False)
+    assert result.exit_code == cli.EXIT_NON_CONVERGENCE
+    assert len(result.output.strip().splitlines()) == 1
+    assert not (tmp_path / "sim_metrics.json").exists()
+
+
 def test_non_numeric_window_is_a_usage_error(runner, tmp_path):
     result = runner.invoke(cli.main, [
         "fit", "--target", "pareto", "--shape", "3.1", "--tail-window",
@@ -275,3 +298,47 @@ def test_simulate_small_run(runner, tmp_path):
 def test_version_flag(runner):
     result = runner.invoke(cli.main, ["--version"])
     assert result.exit_code == 0
+
+
+# Runs in a fresh interpreter: one tiny call of each command through
+# cli.main, then lists every scipy module that got imported.
+_NO_SCIPY_SCRIPT = """
+import sys
+from pathlib import Path
+from heavytail_ph import cli
+
+out = Path(sys.argv[1])
+pareto = ["--target", "pareto", "--shape", "3.1"]
+sim = ["--lam", "0.5", "--jobs", "2000", "--warmup", "100",
+       "--replications", "2"]
+calls = [
+    ["fit", *pareto, "--method", "bph_he", "--max-iters", "2",
+     "--out", str(out / "hybrid")],
+    ["fit", *pareto, "--method", "bph", "--out", str(out / "bph")],
+    ["fit", *pareto, "--method", "he", "--out", str(out / "he")],
+    ["eval", "--model", str(out / "hybrid" / "model.json"),
+     "--out", str(out / "eval")],
+    ["queue", "--model", str(out / "hybrid" / "model.json"),
+     "--out", str(out / "queue")],
+    ["simulate", "--model", str(out / "hybrid" / "model.json"), *sim,
+     "--out", str(out / "sim-model")],
+    ["simulate", "--target", "lognormal", "--mu", "1", "--sigma", "2", *sim,
+     "--out", str(out / "sim-target")],
+]
+for argv in calls:
+    try:
+        cli.main(argv, standalone_mode=False)
+    except SystemExit as exc:
+        sys.exit(f"{argv[0]} exited {exc.code}")
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_commands_do_not_import_scipy(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

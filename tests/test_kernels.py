@@ -45,6 +45,16 @@ def test_python_kernel_large_order_stable():
     assert np.all(vals >= 0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 10, 100, 400])
+def test_log_binomials_match_gammaln(n):
+    # [ORACLE] scipy's log-gamma; the exact integers round once.
+    from scipy.special import gammaln
+    i = np.arange(1, n + 1, dtype=float)
+    expect = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
+    np.testing.assert_allclose(_backend._log_binomials(n), expect,
+                               rtol=0.0, atol=1e-12)
+
+
 def test_backend_exports():
     assert callable(_backend.bernstein_he_ccdf)
     assert callable(_backend.lindley_waits)
