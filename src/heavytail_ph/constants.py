@@ -24,5 +24,7 @@ WEIGHT_NEG_TOL = 1e-9
 RESIDUAL_NEG_TOL = 1e-6
 
 # Reference moments: largest gap between the 20- and 40-point
-# Gauss-Legendre values of a segment, relative to the whole integral.
+# Gauss-Legendre values of a segment, relative to the whole integral, and
+# the absolute floor of that gap for integrals that underflow.
 MOMENT_REL_TOL = 1e-14
+MOMENT_ABS_TOL = 1e-300

@@ -4,12 +4,13 @@ A target is what the fitting pipeline tries to approximate: one of a few
 analytic families (Burr, Pareto, Lognormal, Weibull) or a tabulated CCDF.
 Reference moments are computed by windowed numerical quadrature, because
 several of these targets have divergent or extremely tail-sensitive raw
-moments; the window makes "the mean of the target" a well-defined quantity
-that fitted models can be compared against. The quadrature compares 20-
-and 40-point Gauss-Legendre rules on unit-width segments of log x, halving
-those that differ by more than MOMENT_REL_TOL of the whole integral (see
-numeric_moment); it reads the CCDF through ccdf_array, while the scalar
-ccdf serves the per-draw bisection of ccdf_inverse.
+moments; the window, finite by construction, makes "the mean of the
+target" a well-defined quantity that fitted models can be compared against.
+The quadrature compares 20- and 40-point Gauss-Legendre rules on unit-width
+segments of log x, halving those that differ by more than MOMENT_REL_TOL of
+the whole integral (see numeric_moment); it reads the CCDF through
+ccdf_array, while the scalar ccdf serves the per-draw bisection of
+ccdf_inverse.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cache
 
 import numpy as np
 
-from .constants import MOMENT_REL_TOL
+from .constants import MOMENT_ABS_TOL, MOMENT_REL_TOL
 from .errors import NonConvergenceError
 
 ANALYTIC_KINDS = ("burr", "pareto", "lognormal", "weibull")
@@ -38,10 +39,12 @@ PARAM_NAMES = {
 
 DEFAULT_WINDOW = (0.0, 1e6)
 
-# Moment quadrature: lowest log x of a window starting at 0, and the most
-# times a segment is halved.
+# Moment quadrature: lowest log x of a window starting at 0, the most
+# times a segment is halved, and the most segments pending at once (or the
+# starting count, when a long table makes that larger).
 _LOG_X_FLOOR = -40.0
 _MAX_HALVINGS = 30
+_MAX_PENDING = 4096
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ class TargetDistribution:
         if self.kind not in KINDS:
             raise ValueError(f"unknown target kind {self.kind!r}")
         x_min, x_max = self.window
-        if not (0 <= x_min < x_max):
+        if not (0 <= x_min < x_max < math.inf):
             raise ValueError(f"invalid window {self.window}")
         if self.kind == "tabulated":
             if self.table is None:
@@ -187,12 +190,18 @@ def _tabulated_ccdf(dist: TargetDistribution, x: float) -> float:
         # Flat before the first point; exactly 1 at the origin.
         return 1.0 if x == 0.0 else float(cc[0])
     if x > xs[-1]:
-        # Power-law continuation from the slope of the last two points.
-        slope = (math.log(cc[-1]) - math.log(cc[-2])) / \
-                (math.log(xs[-1]) - math.log(xs[-2]))
-        return float(cc[-1] * (x / xs[-1]) ** slope)
+        return float(_table_tail(dist, x))
     # Interior: linear interpolation of log(ccdf) in x.
     return float(np.exp(np.interp(x, xs, np.log(cc))))
+
+
+def _table_tail(dist: TargetDistribution, x):
+    """The CCDF past a table's last row, at a float or an array of x: the
+    power law through the last two rows."""
+    xs, cc = dist.table
+    slope = (math.log(cc[-1]) - math.log(cc[-2])) / \
+            (math.log(xs[-1]) - math.log(xs[-2]))
+    return cc[-1] * (x / xs[-1]) ** slope
 
 
 def ccdf_array(dist: TargetDistribution, xs) -> np.ndarray:
@@ -212,12 +221,10 @@ def ccdf_array(dist: TargetDistribution, xs) -> np.ndarray:
                 if v else 1.0 for v in x.ravel().tolist()]
         return np.array(vals).reshape(x.shape)
     tx, cc = dist.table
-    slope = (math.log(cc[-1]) - math.log(cc[-2])) / \
-            (math.log(tx[-1]) - math.log(tx[-2]))
     out = np.exp(np.interp(x, tx, np.log(cc)))  # flat below tx[0]
     out[x == 0.0] = 1.0
     tail = x > tx[-1]
-    out[tail] = cc[-1] * (x[tail] / tx[-1]) ** slope
+    out[tail] = _table_tail(dist, x[tail])
     return out
 
 
@@ -286,14 +293,18 @@ def numeric_moment(dist: TargetDistribution, order: int, window=None) -> float:
     the 20- and 40-point Gauss-Legendre rules, with the CCDF of all pending
     segments' nodes in one array call; a segment is kept at its 40-point
     value when the two differ by at most MOMENT_REL_TOL (1e-14) times the
-    whole integral, and halved otherwise. The tolerance is relative to the
-    whole integral, not to each segment, so segments where the CCDF
-    underflows converge too.
+    whole integral, or by MOMENT_ABS_TOL (1e-300) when that is smaller, and
+    halved otherwise. The tolerance is relative to the whole integral, not
+    to each segment, so segments where the CCDF underflows converge too, and
+    its floor lets an integral that is itself subnormal converge.
+    NonConvergenceError is raised when the integral is not finite, after 30
+    halvings, or when more segments are pending than 4096 or the starting
+    count.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     x_min, x_max = window if window is not None else dist.window
-    if not (0 <= x_min < x_max):
+    if not (0 <= x_min < x_max < math.inf):
         raise ValueError(f"invalid window ({x_min}, {x_max})")
 
     u_hi = math.log(x_max)
@@ -312,19 +323,36 @@ def numeric_moment(dist: TargetDistribution, order: int, window=None) -> float:
 
     nodes, w20, w40 = _gauss_legendre()
     lo, hi = edges[:-1], edges[1:]
+    max_pending = max(_MAX_PENDING, lo.size)
     kept = []
     for _ in range(_MAX_HALVINGS + 1):
         half = 0.5 * (hi - lo)
         x = np.exp((lo + half)[:, None] + half[:, None] * nodes)
-        f = x ** order * ccdf_array(dist, x)
-        i20 = half * (f[:, :w20.size] @ w20)
-        i40 = half * (f[:, w20.size:] @ w40)
-        total = math.fsum(kept) + math.fsum(i40)
-        ok = np.abs(i40 - i20) <= MOMENT_REL_TOL * abs(total)
+        with np.errstate(over="ignore"):
+            # x * (x * F), not x^2 * F: x^2 overflows past 1.3e154, which
+            # makes NaN where F has underflowed to 0; x * F stays finite.
+            f = x * ccdf_array(dist, x)
+            if order == 2:
+                f *= x
+            i20 = half * (f[:, :w20.size] @ w20)
+            i40 = half * (f[:, w20.size:] @ w40)
+        try:
+            total = math.fsum(kept) + math.fsum(i40)
+        except OverflowError:
+            total = math.inf
+        if not (math.isfinite(total) and np.isfinite(i20).all()):
+            raise NonConvergenceError(
+                f"moment integrand is not finite on [{x_min}, {x_max}]")
+        tol = max(MOMENT_REL_TOL * abs(total), MOMENT_ABS_TOL)
+        ok = np.abs(i40 - i20) <= tol
         kept.extend(i40[ok].tolist())
         if ok.all():
             return order * math.fsum(kept) + head
         lo, hi = lo[~ok], hi[~ok]
+        if 2 * lo.size > max_pending:
+            raise NonConvergenceError(
+                f"moment quadrature did not converge on [{x_min}, {x_max}]: "
+                f"{2 * lo.size} segments pending")
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     raise NonConvergenceError(

@@ -6,6 +6,7 @@ paper-scale invocations live in test_acceptance.py.
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -87,6 +88,8 @@ _BAD_TARGETS = {
     "pareto-negative-shape": ["--target", "pareto", "--shape", "-1"],
     "reversed-window": ["--target", "pareto", "--shape", "3.1",
                         "--window", "5,1"],
+    "infinite-window": ["--target", "pareto", "--shape", "3.1",
+                        "--window", "0,inf"],
     "json-missing-shape": ["--target-json", "{no_shape}"],
     "json-not-json": ["--target-json", "{bad}"],
     "csv-rising-ccdf": ["--target-csv", "{rising}"],
@@ -175,6 +178,33 @@ def test_slow_falling_table_exits_non_convergence(runner, tmp_path, command):
     assert result.exit_code == cli.EXIT_NON_CONVERGENCE
     assert len(result.output.strip().splitlines()) == 1
     assert not (tmp_path / "sim_metrics.json").exists()
+
+
+# Windows far beyond where the CCDF underflows. Pareto(3.1) up to 1e200 has
+# closed-form moments, though x^2 overflows there. The second-moment
+# integrand of Pareto(1.3) still grows where its CCDF underflows, and that
+# of Pareto(0.5) overflows: both end at once with exit 4.
+@pytest.mark.parametrize("shape, window, code", [
+    ("3.1", "0,1e200", 0),
+    ("1.3", "0,1e270", cli.EXIT_NON_CONVERGENCE),
+    ("0.5", "0,1e300", cli.EXIT_NON_CONVERGENCE),
+], ids=["pareto-3.1-to-1e200", "pareto-1.3-to-1e270", "pareto-0.5-to-1e300"])
+def test_very_wide_window_finishes(runner, tmp_path, shape, window, code):
+    result = runner.invoke(cli.main, [
+        "fit", "--method", "bph", "--target", "pareto", "--shape", shape,
+        "--window", window, "--out", str(tmp_path)], catch_exceptions=False)
+    assert result.exit_code == code
+    if code:
+        assert len(result.output.strip().splitlines()) == 1
+        return
+    # [DERIVED] m1 = 1/(a-1), m2 = 2/((a-1)(a-2)); the rest of the window
+    # adds less than 1e-200.
+    a = float(shape)
+    m1, m2 = 1.0 / (a - 1.0), 2.0 / ((a - 1.0) * (a - 2.0))
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["mean_real"] == pytest.approx(m1, rel=1e-12)
+    assert report["cv_real"] == pytest.approx(math.sqrt(m2 - m1 * m1) / m1,
+                                              rel=1e-12)
 
 
 def test_non_numeric_window_is_a_usage_error(runner, tmp_path):

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heavytail_ph import targets
+from heavytail_ph.errors import NonConvergenceError
 from heavytail_ph.targets import TargetDistribution
 
 
@@ -39,6 +40,13 @@ def test_bad_window_rejected():
     with pytest.raises(ValueError):
         TargetDistribution(kind="pareto", params={"shape": 3.1},
                            window=(5.0, 1.0))
+    with pytest.raises(ValueError):
+        TargetDistribution(kind="pareto", params={"shape": 3.1},
+                           window=(0.0, math.inf))
+    with pytest.raises(ValueError):
+        targets.numeric_moment(
+            TargetDistribution(kind="pareto", params={"shape": 3.1}), 1,
+            (0.0, math.inf))
 
 
 def test_table_must_decrease():
@@ -244,6 +252,67 @@ def test_moments_match_quad(dist):
         got = targets.numeric_moment(dist, order)
         assert got == pytest.approx(quad_moment(dist, order, dist.window),
                                     rel=1e-12)
+
+
+def test_moments_past_the_ccdf_underflow():
+    # [DERIVED] Pareto(3.1) on (0, 1e200): m1 = 1/2.1, m2 = 2/(2.1 * 1.1),
+    # though x^2 overflows and the CCDF underflows in the window's top half.
+    dist = TargetDistribution(kind="pareto", params={"shape": 3.1},
+                              window=(0.0, 1e200))
+    assert targets.numeric_moment(dist, 1) == pytest.approx(1 / 2.1,
+                                                            rel=1e-12)
+    assert targets.numeric_moment(dist, 2) == pytest.approx(2 / (2.1 * 1.1),
+                                                            rel=1e-12)
+
+
+def _windowed_moment(kind, p, a, b, k):
+    """k * integral of x^(k-1) * ccdf over (a, b), in closed form: for the
+    unit exponential 1 - e^-x, and for the lognormal
+    [x^k * ccdf]_a^b + integral of x^k * pdf."""
+    if kind == "weibull":
+        return k * (math.exp(-a) * (a + 1.0) ** (k - 1)
+                    - math.exp(-b) * (b + 1.0) ** (k - 1))
+    mu, s = p["mu"], p["sigma"]
+    q = lambda z: 0.5 * math.erfc(z / math.sqrt(2.0))  # noqa: E731
+    za, zb = (math.log(a) - mu) / s, (math.log(b) - mu) / s
+    return (b ** k * q(zb) - a ** k * q(za)
+            + math.exp(k * mu + 0.5 * (k * s) ** 2)
+            * (q(za - k * s) - q(zb - k * s)))
+
+
+@pytest.mark.parametrize("kind, params, window", [
+    ("weibull", {"scale": 1.0, "shape": 1.0}, (730.0, 740.0)),
+    ("lognormal", {"mu": 0.1, "sigma": 0.5}, (2e8, 2.05e8)),
+], ids=["weibull-730-740", "lognormal-2e8"])
+def test_subnormal_moments_converge(kind, params, window):
+    # [DERIVED] windows where the CCDF is subnormal, and so are both
+    # Weibull moments and the Lognormal m1. A subnormal near 1e-316 holds
+    # about 7 digits.
+    dist = TargetDistribution(kind=kind, params=params, window=window)
+    assert targets.ccdf(dist, window[0]) < 2.3e-308
+    for order in (1, 2):
+        assert targets.numeric_moment(dist, order) == pytest.approx(
+            _windowed_moment(kind, params, *window, order), rel=1e-5)
+
+
+@pytest.mark.parametrize("dist, message", [
+    (TargetDistribution(kind="pareto", params={"shape": 1.3},
+                        window=(0.0, 1e270)), "segments pending"),
+    (TargetDistribution(kind="pareto", params={"shape": 0.5},
+                        window=(0.0, 1e300)), "not finite"),
+    (TargetDistribution(kind="tabulated", params={}, window=(0.0, 1e308),
+                        table=((1e153, 1e154), (1.0, 0.01))), "not finite"),
+], ids=["integrand-hidden-by-underflow", "integrand-overflows",
+        "sum-overflows"])
+def test_unresolvable_second_moment_raises(dist, message):
+    # x^2 * ccdf(x) = x^0.7 still grows where Pareto(1.3)'s CCDF underflows,
+    # so halving never ends; the bound on pending segments stops it after
+    # about ten levels, where 30 would take seconds and hundreds of MB. For
+    # Pareto(0.5) the integrand exceeds the largest float; the table holds
+    # it at 1e306 over 354 unit segments of log x, each finite, their sum
+    # not.
+    with pytest.raises(NonConvergenceError, match=message):
+        targets.numeric_moment(dist, 2)
 
 
 def test_acceptance_target_stats_match_quad(all_targets):
