@@ -2,7 +2,10 @@
 
 Evaluation of the matrix exponential goes through uniformization, which
 preserves nonnegativity and has a certified truncation error; moments come
-from linear solves against -A, never an explicit inverse.
+from linear solves against -A, never an explicit inverse. Sampling draws
+each absorption time in one step when A has the Bernstein-body-plus-HE
+structure of the fitted models (`bernstein_structure`), and walks the
+underlying chain otherwise.
 """
 
 from __future__ import annotations
@@ -235,29 +238,60 @@ def scale_to_mean(model: PhaseTypeModel, target_mean: float) -> PhaseTypeModel:
 
 # -- sampling -------------------------------------------------------------
 
-def sample(model: PhaseTypeModel, rng_seed: int, count: int) -> np.ndarray:
-    """Draw absorption times by simulating the underlying chain.
+def bernstein_structure(A) -> tuple[int, float] | None:
+    """(n, c) when A is c * bph.generator(n) followed by a diagonal block,
+    else None.
 
-    Vectorized over draws: all active chains advance one jump per sweep.
+    Read from A alone: A must be upper bidiagonal; each superdiagonal entry
+    is either -A[i,i] (phase i passes on to i+1) or 0 (phase i exits); the
+    phases that pass on are exactly 0..n-2; and the rates of phases 0..n-1
+    are c*(1..n) to 1e-12 relative. Every model the package writes matches
+    (`bph`, `bph_he`, and `he` with n = 1), also after `scale_to_mean`.
     """
-    return sample_with_rng(model, np.random.default_rng(rng_seed), count)
+    A = np.asarray(A, dtype=float)
+    if not np.array_equal(A, np.triu(np.tril(A, 1))):
+        return None
+    rates, sup = -np.diag(A), np.diag(A, 1)
+    passes = sup == rates[:-1]
+    if not np.all(passes | (sup == 0.0)):
+        return None
+    n = 1 + int(np.argmin(passes)) if not passes.all() else rates.size
+    if passes[n - 1:].any():
+        return None
+    c = float(rates[0])
+    expected = c * np.arange(1, n + 1)
+    if not c > 0 or np.any(np.abs(rates[:n] - expected) > 1e-12 * expected):
+        return None
+    return n, c
 
 
 def sample_with_rng(model: PhaseTypeModel, rng: np.random.Generator,
                     count: int) -> np.ndarray:
-    """As `sample`, but advancing a caller-owned generator."""
+    """Draw `count` absorption times, advancing a caller-owned generator.
+
+    A model with `bernstein_structure` (n, c) takes one draw per time: a
+    chain started in body phase j (0-based) passes through the rates
+    c(j+1), ..., cn, so by the Renyi representation of exponential order
+    statistics its absorption time is -log(U)/c with U ~ Beta(j+1, n-j),
+    drawn as -log1p(-V)/c with V = 1 - U ~ Beta(n-j, j+1); an HE phase
+    gives one exponential at its rate. Any other model walks its chain,
+    all active draws advancing one jump per sweep.
+    """
     _require_valid(model)
     if not model.is_proper:
         raise ValueError("sampling requires a proper model "
                          f"(alpha sums to {model.alpha.sum():.12f})")
     n = model.order
     rates = -np.diag(model.A)
+    alpha = model.alpha / model.alpha.sum()
+    structure = bernstein_structure(model.A)
+    if structure is not None:
+        return _sample_structured(alpha, rates, *structure, rng, count)
     # Row i: cumulative jump probabilities to phases 0..n-1, then absorption.
     jump = model.A / rates[:, None]
     np.fill_diagonal(jump, 0.0)
     cum = np.cumsum(jump, axis=1)
 
-    alpha = model.alpha / model.alpha.sum()
     phase = rng.choice(n, size=count, p=alpha)
     times = np.zeros(count)
     active = np.arange(count)
@@ -268,4 +302,16 @@ def sample_with_rng(model: PhaseTypeModel, rng: np.random.Generator,
         absorbed = nxt >= n
         phase[active[~absorbed]] = nxt[~absorbed]
         active = active[~absorbed]
+    return times
+
+
+def _sample_structured(alpha, rates, n, c, rng, count) -> np.ndarray:
+    """One draw per time for a model with `bernstein_structure` (n, c)."""
+    phase = rng.choice(alpha.size, size=count, p=alpha)
+    times = np.empty(count)
+    body = phase < n
+    j = phase[body]
+    times[body] = -np.log1p(-rng.beta(n - j, j + 1)) / c
+    tail = phase[~body]
+    times[~body] = rng.exponential(1.0, size=tail.size) / rates[tail]
     return times

@@ -152,5 +152,7 @@ def target_service(dist: targets_mod.TargetDistribution):
 
 
 def model_service(model: PhaseTypeModel):
-    """Service-draw callable sampling a phase-type model."""
+    """Service-draw callable sampling a phase-type model through
+    `phmodel.sample_with_rng`: one Beta or exponential draw per service
+    time for the package's fitted models, the chain walk for any other."""
     return lambda rng, count: sample_with_rng(model, rng, count)

@@ -139,7 +139,11 @@ def ccdf(dist: TargetDistribution, x: float) -> float:
     if kind == "pareto":
         return (1.0 + x) ** -p["shape"]
     if kind == "burr":
-        return (1.0 + x ** p["c"]) ** -p["d"]
+        c, d = p["c"], p["d"]
+        try:
+            return (1.0 + x ** c) ** -d
+        except OverflowError:  # x ** c beyond the largest float
+            return math.exp(-d * c * math.log(x))
     if kind == "weibull":
         return math.exp(-((x / p["scale"]) ** p["shape"]))
     if kind == "lognormal":
@@ -166,7 +170,10 @@ def pdf(dist: TargetDistribution, x: float) -> float:
         c, d = p["c"], p["d"]
         if x == 0.0:
             return math.inf if c < 1 else (float(d) if c == 1 else 0.0)
-        return c * d * x ** (c - 1.0) / (1.0 + x ** c) ** (d + 1.0)
+        try:
+            return c * d * x ** (c - 1.0) / (1.0 + x ** c) ** (d + 1.0)
+        except OverflowError:  # x ** c or its power beyond the largest float
+            return c * d * math.exp(-(c * d + 1.0) * math.log(x))
     if kind == "weibull":
         scale, shape = p["scale"], p["shape"]
         if x == 0.0:
@@ -211,7 +218,13 @@ def ccdf_array(dist: TargetDistribution, xs) -> np.ndarray:
     if kind == "pareto":
         return (1.0 + x) ** -p["shape"]
     if kind == "burr":
-        return (1.0 + x ** p["c"]) ** -p["d"]
+        c, d = p["c"], p["d"]
+        with np.errstate(over="ignore"):
+            xc = x ** c
+        out = (1.0 + xc) ** -d
+        big = np.isinf(xc)  # where the scalar's x ** c overflows
+        out[big] = np.exp(-d * c * np.log(x[big]))
+        return out
     if kind == "weibull":
         return np.exp(-((x / p["scale"]) ** p["shape"]))
     if kind == "lognormal":

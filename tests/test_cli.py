@@ -180,6 +180,17 @@ def test_slow_falling_table_exits_non_convergence(runner, tmp_path, command):
     assert not (tmp_path / "sim_metrics.json").exists()
 
 
+def test_burr_draws_past_the_power_overflow_do_not_crash(runner, tmp_path):
+    # Burr(2, 0.01) puts draws far beyond 1e154, where x ** c overflows a
+    # float while the CCDF is still about 1e-3; a draw beyond the largest
+    # float exits 4.
+    result = runner.invoke(cli.main, [
+        "simulate", "--target", "burr", "--c", "2", "--d", "0.01",
+        *_SMALL_SIM, "--out", str(tmp_path)], catch_exceptions=False)
+    assert result.exit_code in (0, cli.EXIT_NON_CONVERGENCE)
+    assert "Traceback" not in result.output
+
+
 # Windows far beyond where the CCDF underflows. Pareto(3.1) up to 1e200 has
 # closed-form moments, though x^2 overflows there. The second-moment
 # integrand of Pareto(1.3) still grows where its CCDF underflows, and that

@@ -2,12 +2,14 @@
 
 Oracles: closed-form exponential and Erlang distributions (where CCDF,
 PDF, and moments are elementary), scipy's dense matrix exponential for
-cross-checking uniformization on random generators, and sample moments
-for the chain simulator.
+cross-checking uniformization on random generators, sample moments for
+the chain simulator, and the exact CCDF and the chain walk (two-sample
+KS) for the one-step sampler of structured models.
 """
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from heavytail_ph import phmodel
+from heavytail_ph import bph, fitting, phmodel
 from heavytail_ph.constants import PROB_NOISE_TOL
 from heavytail_ph.phmodel import PhaseTypeModel
 
@@ -250,7 +252,7 @@ def test_sample_moments_match():
     # [DERIVED] sample mean/CV of the chain simulator vs analytic moments.
     rng = np.random.default_rng(1)
     m = random_stable_ph(rng, 3)
-    draws = phmodel.sample(m, rng_seed=42, count=200_000)
+    draws = phmodel.sample_with_rng(m, np.random.default_rng(42), 200_000)
     assert draws.min() >= 0.0
     assert draws.mean() == pytest.approx(phmodel.mean(m), rel=0.02)
     cv_emp = draws.std() / draws.mean()
@@ -259,11 +261,120 @@ def test_sample_moments_match():
 
 def test_sample_deterministic():
     m = exponential_model(1.0)
-    a = phmodel.sample(m, rng_seed=3, count=100)
-    b = phmodel.sample(m, rng_seed=3, count=100)
+    a = phmodel.sample_with_rng(m, np.random.default_rng(3), 100)
+    b = phmodel.sample_with_rng(m, np.random.default_rng(3), 100)
     assert np.array_equal(a, b)
 
 
 def test_sample_requires_proper():
     with pytest.raises(ValueError):
-        phmodel.sample(PhaseTypeModel(alpha=[0.6], A=[[-1.0]]), 0, 10)
+        phmodel.sample_with_rng(PhaseTypeModel(alpha=[0.6], A=[[-1.0]]),
+                                np.random.default_rng(0), 10)
+
+
+@pytest.fixture(scope="module")
+def fitted_models(pareto):
+    """Every kind of model the package writes, with its body size n."""
+    stored = PhaseTypeModel.load(STORED_HYBRID)
+    return {
+        "stored-hybrid": (stored, 100),
+        "scaled-hybrid": (phmodel.scale_to_mean(stored, 2.0), 100),
+        "bph": (fitting.fit_bph(pareto, n=40).model, 40),
+        "he": (fitting.fit_he(pareto, k=3).model, 1),
+        "bph_he": (fitting.fit_bph_he(pareto, k=2, n=30,
+                                      run_optimizer=False).model, 30),
+    }
+
+
+def test_structure_accepts_fitted_models(fitted_models):
+    for name, (m, n) in fitted_models.items():
+        found = phmodel.bernstein_structure(m.A)
+        assert found is not None, name
+        assert found[0] == n, name
+        c = found[1]
+        np.testing.assert_allclose(m.A[:n, :n], c * bph.generator(n),
+                                   rtol=1e-12, err_msg=name)
+        tail = m.A[n:, n:]
+        assert np.array_equal(tail, np.diag(np.diag(tail))), name
+
+
+def _reversed(model):
+    """The same distribution with its phases in reverse order."""
+    return PhaseTypeModel(alpha=model.alpha[::-1], A=model.A[::-1, ::-1])
+
+
+def _with_entry(model, i, j, value):
+    A = model.A.copy()
+    A[i, j] = value
+    return PhaseTypeModel(alpha=model.alpha, A=A)
+
+
+def _rejected_models():
+    stored = PhaseTypeModel.load(STORED_HYBRID)
+    chain = erlang_model(3, 1.0).A.copy()
+    chain[1, 1], chain[1, 2] = -2.5, 2.5   # rates 1, 2.5, 1
+    return {
+        "random": random_stable_ph(np.random.default_rng(2), 4),
+        "non-arithmetic-chain": PhaseTypeModel(alpha=[1.0, 0.0, 0.0],
+                                               A=chain),
+        # An HE phase of the stored hybrid that may also jump to the body.
+        "extra-entry": _with_entry(stored, 101, 0, 0.5 * -stored.A[101, 101]),
+        # A body phase that exits early, and an HE phase that passes on.
+        "early-exit": _with_entry(stored, 49, 50, 0.0),
+        "late-pass": _with_entry(stored, 100, 101, -stored.A[100, 100]),
+        "reversed": _reversed(stored),
+    }
+
+
+@pytest.mark.parametrize("name", ["random", "non-arithmetic-chain",
+                                  "extra-entry", "early-exit", "late-pass",
+                                  "reversed"])
+def test_structure_rejects_other_matrices(name):
+    m = _rejected_models()[name]
+    assert not phmodel.validate(m)
+    assert phmodel.bernstein_structure(m.A) is None
+
+
+@pytest.mark.parametrize("name", ["stored-hybrid", "scaled-hybrid", "he",
+                                  "bph_he"])
+def test_structured_draws_match_exact_ccdf(fitted_models, name):
+    # Binomial z of the draws above the Pareto(3.1) quantiles the models
+    # approximate, against the exact model CCDF there.
+    m, _ = fitted_models[name]
+    levels = np.array([0.5, 0.1, 1e-2, 1e-3, 1e-4])
+    xs = (levels ** (-1.0 / 3.1) - 1.0) * phmodel.mean(m) * 2.1
+    p = phmodel.ccdf(m, xs)
+    count = 1_000_000
+    draws = phmodel.sample_with_rng(m, np.random.default_rng(23), count)
+    above = (draws[:, None] > xs).sum(axis=0)
+    z = (above - count * p) / np.sqrt(count * p * (1.0 - p))
+    assert np.all(np.abs(z) <= 5.0), z
+
+
+@pytest.mark.parametrize("name", ["stored-hybrid", "bph", "bph_he"])
+def test_structured_draws_match_chain_walk(fitted_models, name):
+    # Reversing the phase order hides the structure, so the reversed model
+    # is sampled by the generic chain walk.
+    from scipy.stats import ks_2samp
+    m, _ = fitted_models[name]
+    walk = _reversed(m)
+    assert phmodel.bernstein_structure(walk.A) is None
+    rng = np.random.default_rng(29)
+    fast = phmodel.sample_with_rng(m, rng, 100_000)
+    slow = np.concatenate([phmodel.sample_with_rng(walk, rng, 25_000)
+                           for _ in range(4)])
+    assert ks_2samp(fast, slow).pvalue > 1e-3
+
+
+def test_structured_sampling_memory():
+    # The chain walk held an (active x order) matrix: about 39 MB at the
+    # peak for these 40,000 draws.
+    m = PhaseTypeModel.load(STORED_HYBRID)
+    rng = np.random.default_rng(31)
+    tracemalloc.start()
+    try:
+        phmodel.sample_with_rng(m, rng, 40_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -357,6 +357,25 @@ def test_ccdf_array_matches_scalar(all_targets):
                                    rtol=1e-15, atol=0.0)
 
 
+def test_burr_past_the_power_overflow():
+    # x ** 2 overflows a float above about 1.34e154, and (1 + x ** 2) ** 1.01
+    # in the density above about 1e153; Burr(2, 0.01) still has CCDF about
+    # 1e-3 there, and it falls as x^-0.02 (the log form).
+    dist = TargetDistribution(kind="burr", params={"c": 2.0, "d": 0.01})
+    xs = [1e153, 1e154, 2e154, 1e160, 1e200, 1e250, 1e300, 1.7e308]
+    scalar = np.array([targets.ccdf(dist, x) for x in xs])
+    np.testing.assert_allclose(targets.ccdf_array(dist, np.array(xs)),
+                               scalar, rtol=1e-14, atol=0.0)
+    assert np.all(scalar > 0.0)
+    assert np.all(np.diff(scalar) < 0.0)
+    np.testing.assert_allclose(scalar, np.array(xs) ** -0.02, rtol=1e-12)
+    # The density agrees with a central difference of the CCDF.
+    for x in xs[:-1]:
+        h = 1e-6 * x
+        slope = (targets.ccdf(dist, x - h) - targets.ccdf(dist, x + h)) / (2 * h)
+        assert targets.pdf(dist, x) == pytest.approx(slope, rel=1e-5)
+
+
 # -- tabulated interpolation ----------------------------------------------
 
 def test_tabulated_log_linear_midpoint():
