@@ -38,11 +38,12 @@ def bernstein_basis(n: int, xs) -> np.ndarray:
     return basis
 
 
-def basis_he_ccdf(basis, node_vals, p, lam, xs):
-    """Mixture CCDF on the grid `basis` was built for (see bernstein_he_ccdf)."""
+def basis_he_ccdf(basis, node_vals, p, expo):
+    """Mixture CCDF on the grid `basis` was built for, given the HE
+    exponentials expo = e^{-lam x} there (see bernstein_he_ccdf)."""
     out = basis @ node_vals
     if p.size:
-        out += np.exp(-np.outer(xs, lam)) @ p
+        out += expo @ p
     return out
 
 
@@ -59,7 +60,7 @@ def bernstein_he_ccdf(node_vals, p, lam, xs):
     xs = np.asarray(xs, dtype=float)
     out = basis_he_ccdf(bernstein_basis(node_vals.size, xs), node_vals,
                         np.asarray(p, dtype=float),
-                        np.asarray(lam, dtype=float), xs)
+                        np.exp(-np.outer(xs, np.asarray(lam, dtype=float))))
     return out.reshape(xs.shape)
 
 

@@ -110,7 +110,7 @@ def _apply_mean_adjust(model, m_real: float, adjust: bool):
 
 
 def grid_mae(target, model_ccdf, grid: EvalGrid) -> float:
-    y = np.array([targets_mod.ccdf(target, z) for z in grid.points])
+    y = targets_mod.ccdf_array(target, grid.points)
     y_hat = np.asarray(model_ccdf(grid.points), dtype=float)
     return float(np.mean(np.abs(y - y_hat)))
 

@@ -12,13 +12,16 @@ produce negative residuals or out-of-range parameters, which is reported as
 InvalidModelError. A damped Newton solve of all the interpolation
 conditions sum_i p_i exp(-lam_i x_j) = Fbar(x_j) (the recursive-fit
 conditions of Feldmann & Whitt, Perf. Eval. 31, 1998) then makes the
-mixture pass through the target at every point.
+mixture pass through the target at every point. A defective fit keeps the
+record of that solve (`TailFit`), from which the fit-point optimizer takes
+its gradient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,15 +32,32 @@ from .errors import InvalidModelError
 # iterations on the default fits; one still short after the cap has stalled.
 _INTERP_TOL = 1e-12
 _NEWTON_MAX_ITERS = 50
+# Step fractions tried by each damped Newton iteration, largest first.
+_HALVINGS = tuple(0.5 ** i for i in range(10))
+
+
+class TailFit(NamedTuple):
+    """Record of a defective fit's interpolation solve: the fit points in
+    descending order, the target CCDF there, and the Jacobian of
+    `interpolation_system` at the returned (p, lam)."""
+
+    points: np.ndarray
+    values: np.ndarray
+    jacobian: np.ndarray
 
 
 @dataclass(frozen=True)
 class HyperExp:
-    """Mixture of exponentials: CCDF(x) = sum_i p[i] * exp(-lam[i] * x)."""
+    """Mixture of exponentials: CCDF(x) = sum_i p[i] * exp(-lam[i] * x).
+
+    `tail_fit` holds the interpolation solve of `fit_defective`; it is None
+    for the complete fit and for mixtures built by hand.
+    """
 
     p: np.ndarray
     lam: np.ndarray
     defective: bool = False
+    tail_fit: TailFit | None = None
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float).ravel()
@@ -129,8 +149,9 @@ def interpolation_system(pts, fx, p, lam):
     columns are its derivatives in log p_i, p_i e^{-lam_i x_j} / Fbar(x_j),
     then in log lam_i, -x_j lam_i p_i e^{-lam_i x_j} / Fbar(x_j).
     """
-    terms = p * np.exp(-np.multiply.outer(pts, lam)) / fx[:, None]
-    jac = np.hstack([terms, -terms * np.multiply.outer(pts, lam)])
+    xl = np.multiply.outer(pts, lam)
+    terms = p * np.exp(-xl) / fx[:, None]
+    jac = np.concatenate([terms, -terms * xl], axis=1)
     return terms.sum(axis=1) - 1.0, jac
 
 
@@ -138,33 +159,37 @@ def _newton(pts, fx, p, lam):
     """Solve the interpolation conditions by Newton in (log p, log lam),
     from the forward pass, whose pairs are contaminated by the terms solved
     after them. Each log-step is scaled to at most 1 in every component and
-    then halved until the residual norm falls.
+    then halved until the residual norm falls. Returns (p, lam) and the
+    Jacobian there.
     """
     k = p.size
     r, jac = interpolation_system(pts, fx, p, lam)
+    norm = np.linalg.norm(r)
     for _ in range(_NEWTON_MAX_ITERS):
         if np.max(np.abs(r)) <= _INTERP_TOL:
-            return p, lam
+            return p, lam, jac
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             break
         step /= max(1.0, float(np.max(np.abs(step))))
-        for t in 0.5 ** np.arange(10):
+        for t in _HALVINGS:
             p_t, lam_t = p * np.exp(t * step[:k]), lam * np.exp(t * step[k:])
             r_t, jac_t = interpolation_system(pts, fx, p_t, lam_t)
-            if np.linalg.norm(r_t) < np.linalg.norm(r):
+            norm_t = np.linalg.norm(r_t)
+            if norm_t < norm:
                 break
         else:
             break
-        p, lam, r, jac = p_t, lam_t, r_t, jac_t
+        p, lam, r, jac, norm = p_t, lam_t, r_t, jac_t, norm_t
     raise InvalidModelError(
         "interpolation solve did not converge for these points", stage=k)
 
 
 def _fit(pts, fx):
     """Forward pass, stage check and Newton solve: (p, lam) of the mixture
-    through the values fx at the descending points pts."""
+    through the values fx at the descending points pts, and the Jacobian
+    there."""
     p, lam = fit_defective_raw(pts, fx)
     _check_stages(p, lam)
     return _newton(pts, fx, p, lam)
@@ -177,21 +202,27 @@ def fit_complete(Fbar, points) -> HyperExp:
     if pts.size % 2 == 0:
         raise ValueError("complete fit needs an odd number of points (2k-1)")
     fx = np.array([float(Fbar(x)) for x in pts] + [1.0])
-    p, lam = _fit(np.append(pts, 0.0), fx)
+    p, lam, _ = _fit(np.append(pts, 0.0), fx)
     return HyperExp(p=p, lam=lam, defective=False)
 
 
 def fit_defective(Fbar, points) -> HyperExp:
-    """Fit a defective mixture (total weight < 1) interpolating at 2k points."""
+    """Fit a defective mixture (total weight < 1) interpolating at 2k points.
+
+    The returned mixture keeps its `TailFit`: the points in descending
+    order, Fbar there, and the interpolation Jacobian at the solution.
+    """
     pts = canonical_points(points, len(points))
     if pts.size % 2 != 0:
         raise ValueError("defective fit needs an even number of points (2k)")
-    p, lam = _fit(pts, np.array([float(Fbar(x)) for x in pts]))
+    fx = np.array([float(Fbar(x)) for x in pts])
+    p, lam, jac = _fit(pts, fx)
     total = math.fsum(p)
     if total >= 1.0:
         raise InvalidModelError(
             f"defective fit weights sum to {total:.6f} >= 1", stage=p.size)
-    return HyperExp(p=p, lam=lam, defective=True)
+    return HyperExp(p=p, lam=lam, defective=True,
+                    tail_fit=TailFit(pts, fx, jac))
 
 
 def he_ccdf(he: HyperExp, x) -> float | np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,9 +25,21 @@ from .phmodel import PhaseTypeModel
 
 @dataclass(frozen=True)
 class HybridModel:
+    """A BPH body and a defective HE tail; `meta` goes to the assembled
+    model.
+
+    The dense order n+k (alpha, A) is assembled on first use of
+    `assembled`: a fit's optimizer scores each candidate through the
+    closed-form CCDF, so only the final model needs the matrix.
+    """
+
     bph: bph_mod.BphComponent
     he: HyperExp
-    assembled: PhaseTypeModel
+    meta: dict | None = None
+
+    @cached_property
+    def assembled(self) -> PhaseTypeModel:
+        return _assemble(self.bph, self.he, self.meta)
 
 
 def residual_ccdf(Fbar, he: HyperExp, nodes, points,
@@ -68,9 +81,8 @@ def build_hybrid(Fbar, k: int, n: int, points, meta=None,
         he = fit_defective(Fbar, points)
     node_vals = residual_ccdf(Fbar, he, bph_mod.grid_points(n), points,
                               at_nodes)
-    component = bph_mod.build_from_ccdf(node_vals)
-    assembled = _assemble(component, he, meta)
-    return HybridModel(bph=component, he=he, assembled=assembled)
+    return HybridModel(bph=bph_mod.build_from_ccdf(node_vals), he=he,
+                       meta=meta)
 
 
 def _assemble(component: bph_mod.BphComponent, he: HyperExp,

@@ -26,7 +26,7 @@ from ._backend import basis_he_ccdf, bernstein_basis
 from .bph import grid_points
 from .constants import RESIDUAL_NEG_TOL
 from .errors import InvalidModelError
-from .hefit import fit_defective_raw, interpolation_system
+from .hefit import fit_defective_raw
 from .hybrid import build_hybrid
 
 log = logging.getLogger(__name__)
@@ -77,6 +77,8 @@ class EvalGrid:
         pts = np.array(self.points, dtype=float).ravel()
         if pts.size < 2 or np.any(np.diff(pts) <= 0):
             raise ValueError("grid needs >= 2 strictly increasing points")
+        if pts[0] < 0:
+            raise ValueError(f"grid starts below 0, at {pts[0]}")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -110,8 +112,12 @@ class LossEvaluator:
     product plus the HE terms.
 
     The loss works in scaled time t = x / scale: the target it fits is
-    F-bar(scale * t). After a buildable candidate, `gradient` gives the
-    exact gradient of its loss in log fit-points from the same hybrid.
+    F-bar(scale * t), read through `targets.ccdf_array` on the grid and the
+    BPH nodes, and through the scalar `targets.ccdf` at the fit points.
+    After a buildable candidate, `gradient` gives the exact gradient of its
+    loss in log fit-points from the same build: the HE solve's `TailFit`
+    and the grid exponentials e^{-lam t} of the call, so it evaluates the
+    target CCDF nowhere.
     """
 
     def __init__(self, target: targets_mod.TargetDistribution, k: int,
@@ -123,13 +129,14 @@ class LossEvaluator:
         self.n = n
         self.grid = grid
         self.weights = weights
-        self.y = np.array([self.Fbar(z) for z in grid.points])
+        self.y = targets_mod.ccdf_array(target, scale * grid.points)
         self._nodes = grid_points(n)
-        self._y_nodes = np.array([self.Fbar(z) for z in self._nodes])
+        self._y_nodes = targets_mod.ccdf_array(target, scale * self._nodes)
         self._basis = bernstein_basis(n, grid.points)
         # Whether the most recent __call__ produced a buildable hybrid.
         self.last_build_ok = False
-        # (points, hybrid, grid CCDF) of the most recent call, if buildable.
+        # (points, hybrid, grid CCDF, grid exponentials) of the most recent
+        # call, if buildable.
         self._last = None
 
     def __call__(self, points) -> LossBreakdown:
@@ -142,8 +149,9 @@ class LossEvaluator:
             self._last = None
             return self._raw_loss(points)
         self.last_build_ok = True
-        y_hat = self._y_hat(hy.bph.node_values, hy.he.p, hy.he.lam)
-        self._last = (np.asarray(points, dtype=float), hy, y_hat)
+        expo = np.exp(-np.outer(self.grid.points, hy.he.lam))
+        y_hat = basis_he_ccdf(self._basis, hy.bph.node_values, hy.he.p, expo)
+        self._last = (np.asarray(points, dtype=float), hy, y_hat, expo)
         mae = float(np.mean(np.abs(self.y - y_hat)))
         # A successful build implies valid p and lambda: zero penalties.
         return LossBreakdown(w.w_mae * mae, mae, 0.0, 0.0)
@@ -163,16 +171,14 @@ class LossEvaluator:
         """
         if self._last is None:
             return None
-        points, hy, y_hat = self._last
+        points, hy, y_hat, expo = self._last
         p, lam = hy.he.p, hy.he.lam
-        order = np.argsort(points)[::-1]  # the descending order of the fit
-        x = points[order]
-        fx = np.array([self.Fbar(t) for t in x])
-        _, jac = interpolation_system(x, fx, p, lam)
+        x, fx, jac = hy.he.tail_fit  # x in descending order
         dens = np.array([self.pdf(t) for t in x])
         dr_dx = (dens - np.exp(-np.multiply.outer(x, lam)) @ (lam * p)) / fx
 
-        he_nodes = _he_terms_jacobian(self._nodes, p, lam)
+        he_nodes = _he_terms_jacobian(
+            self._nodes, np.exp(-np.multiply.outer(self._nodes, lam)), p, lam)
         res = self._y_nodes - he_nodes[:, :p.size].sum(axis=1)
         d_clamped = np.where((res > 0.0)[:, None], -he_nodes, 0.0)
         d_weights = np.diff(d_clamped, axis=0, prepend=0.0)
@@ -181,10 +187,10 @@ class LossEvaluator:
 
         g = (self.weights.w_mae / y_hat.size) * np.sign(y_hat - self.y)
         d_theta = ((g @ self._basis) @ d_nodes
-                   + g @ _he_terms_jacobian(self.grid.points, p, lam))
+                   + g @ _he_terms_jacobian(self.grid.points, expo, p, lam))
         d_x = -dr_dx * np.linalg.solve(jac.T, d_theta)
         grad = np.empty_like(d_x)
-        grad[order] = x * d_x  # d/d log x = x d/dx
+        grad[np.argsort(points)[::-1]] = x * d_x  # d/d log x = x d/dx
         return grad
 
     def _raw_loss(self, points) -> LossBreakdown:
@@ -232,13 +238,11 @@ class LossEvaluator:
             np.maximum(res[:self._nodes.size], 0.0))
         return self._mae(node_vals, p, lam), dips
 
-    def _y_hat(self, node_vals, p, lam) -> np.ndarray:
-        """Grid CCDF of the hybrid with these node values and HE terms."""
-        return basis_he_ccdf(self._basis, node_vals, p, lam, self.grid.points)
-
     def _mae(self, node_vals, p, lam) -> float:
         """Grid MAE of the hybrid CCDF with these node values and HE terms."""
-        return float(np.mean(np.abs(self.y - self._y_hat(node_vals, p, lam))))
+        y_hat = basis_he_ccdf(self._basis, node_vals, p,
+                              np.exp(-np.outer(self.grid.points, lam)))
+        return float(np.mean(np.abs(self.y - y_hat)))
 
     def _raw_mixture(self, p: np.ndarray, lam: np.ndarray) -> np.ndarray:
         ok = np.isfinite(p) & np.isfinite(lam)
@@ -249,16 +253,14 @@ class LossEvaluator:
         return np.clip(vals, -_RAW_CCDF_CLIP, _RAW_CCDF_CLIP)
 
 
-def _he_terms_jacobian(ts, p, lam) -> np.ndarray:
+def _he_terms_jacobian(ts, expo, p, lam) -> np.ndarray:
     """Derivatives of sum_i p_i e^{-lam_i t} in (log p, log lam), one row
-    per t (the log p columns are the terms themselves): the interpolation
-    Jacobian against a unit target."""
-    return interpolation_system(ts, np.ones(len(ts)), p, lam)[1]
-
-
-def loss(points, target, k: int, n: int, grid: EvalGrid,
-         weights: LossWeights) -> LossBreakdown:
-    return LossEvaluator(target, k, n, grid, weights)(points)
+    per t, from the exponentials expo = e^{-lam t}: the log p columns are
+    the terms p_i e^{-lam_i t} themselves, the log lam columns
+    -t lam_i p_i e^{-lam_i t}."""
+    terms = p * expo
+    return np.concatenate([terms, -terms * np.multiply.outer(ts, lam)],
+                          axis=1)
 
 
 def optimize(target, k: int, n: int, grid: EvalGrid, weights: LossWeights,
@@ -336,8 +338,12 @@ def _central_differences(evaluator: LossEvaluator, u: np.ndarray) -> np.ndarray:
 
 def _repel_collisions(u: np.ndarray) -> np.ndarray:
     """Nudge apart log-points that collapsed within 1e-9 relative."""
-    u = u.copy()
     order = np.argsort(u)
+    lo, hi = u[order[:-1]], u[order[1:]]
+    if not np.any(hi - lo <= 1e-9 * np.maximum(
+            np.maximum(np.abs(lo), np.abs(hi)), 1.0)):
+        return u
+    u = u.copy()
     for a, b in zip(order[:-1], order[1:]):
         if abs(u[b] - u[a]) <= 1e-9 * max(abs(u[a]), abs(u[b]), 1.0):
             jitter = 1e-6 * max(abs(u[b]), 1.0)

@@ -1,11 +1,12 @@
 """Continuous phase-type distributions as (alpha, A) vector-matrix pairs.
 
 Evaluation of the matrix exponential goes through uniformization, which
-preserves nonnegativity and has a certified truncation error; moments come
-from linear solves against -A, never an explicit inverse. Sampling draws
-each absorption time in one step when A has the Bernstein-body-plus-HE
-structure of the fitted models (`bernstein_structure`), and walks the
-underlying chain otherwise.
+preserves nonnegativity and has a certified truncation error. When A has
+the Bernstein-body-plus-HE structure of the fitted models
+(`bernstein_structure`), the mean and second moment are sums over the
+exponential stages and sampling draws each absorption time in one step;
+any other model takes its moments from linear solves against -A, never an
+explicit inverse, and is sampled by walking the underlying chain.
 """
 
 from __future__ import annotations
@@ -71,14 +72,22 @@ class PhaseTypeModel:
 
     def save(self, path) -> None:
         """Write the model as JSON, one row of A per line, through json.dumps
-        (the C encoder; json.dump to a file and any indent are pure Python)."""
-        doc = self.to_dict()
-        rows = ",\n    ".join(map(json.dumps, doc["A"]))
+        (the C encoder; json.dump to a file and any indent are pure Python).
+
+        Each +0.0 of A is written as json.dumps writes it, "0.0", without a
+        call; every other entry, -0.0 included, goes through json.dumps.
+        """
+        A = self.A
+        cells = [["0.0"] * A.shape[1] for _ in range(A.shape[0])]
+        written = (A != 0.0) | np.signbit(A)
+        for i, j, v in zip(*np.nonzero(written), A[written].tolist()):
+            cells[i][j] = json.dumps(v)
+        rows = ",\n    ".join("[" + ", ".join(r) + "]" for r in cells)
         with open(path, "w") as fh:
             fh.write(f'{{\n  "format": 1,\n'
-                     f'  "alpha": {json.dumps(doc["alpha"])},\n'
+                     f'  "alpha": {json.dumps(self.alpha.tolist())},\n'
                      f'  "A": [\n    {rows}\n  ],\n'
-                     f'  "meta": {json.dumps(doc["meta"])}\n}}\n')
+                     f'  "meta": {json.dumps(dict(self.meta))}\n}}\n')
 
     @classmethod
     def load(cls, path) -> "PhaseTypeModel":
@@ -204,14 +213,37 @@ def _eval_rows(model: PhaseTypeModel, xs: np.ndarray) -> np.ndarray:
 # -- moments and scaling --------------------------------------------------
 
 def moment(model: PhaseTypeModel, k: int) -> float:
-    """m_k = k! * alpha * (-A)^{-k} * 1, via k successive linear solves."""
+    """m_k = k! * alpha * (-A)^{-k} * 1.
+
+    For k = 1 and 2 and a model with `bernstein_structure` (n, c), in
+    closed form: a chain started in body phase j passes through the rates
+    r_j, ..., r_{n-1}, so its absorption time has mean sum_i 1/r_i and
+    second moment sum_i 1/r_i^2 plus the mean squared; an HE phase at rate
+    lam gives 1/lam and 2/lam^2. Otherwise by k successive linear solves.
+    """
     if k < 1:
         raise ValueError("moment order must be >= 1")
     _require_valid(model)
+    structure = bernstein_structure(model.A) if k <= 2 else None
+    if structure is not None:
+        return _structured_moment(model.alpha, -np.diag(model.A),
+                                  structure[0], k)
     y = np.ones(model.order)
     for _ in range(k):
         y = np.linalg.solve(-model.A, y)
     return math.factorial(k) * float(model.alpha @ y)
+
+
+def _structured_moment(alpha, rates, n, k) -> float:
+    """Moment k (1 or 2) of a model with `bernstein_structure` (n, c)."""
+    inv = 1.0 / rates
+    # Per starting phase: body phases sum the stages to the end of the body.
+    m1 = np.concatenate([np.cumsum(inv[:n][::-1])[::-1], inv[n:]])
+    if k == 1:
+        return float(alpha @ m1)
+    inv2 = inv * inv
+    var = np.concatenate([np.cumsum(inv2[:n][::-1])[::-1], inv2[n:]])
+    return float(alpha @ (var + m1 * m1))
 
 
 def mean(model: PhaseTypeModel) -> float:

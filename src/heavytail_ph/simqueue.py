@@ -90,7 +90,7 @@ def run_mg1(config: SimConfig, service_draw) -> SimResult:
         vals = np.array([rep[name] for rep in reps])
         point = float(vals.mean())
         if config.replications >= 2:
-            half = _Z95 * float(vals.std(ddof=1)) / math.sqrt(vals.size)
+            half = _Z95 * _spread(vals) / math.sqrt(vals.size)
         else:
             half = math.nan
         metrics[name] = (point, half)
@@ -100,6 +100,18 @@ def run_mg1(config: SimConfig, service_draw) -> SimResult:
     unstable = any(rep["rho"] >= 1.0 for rep in reps)
     return SimResult(estimates=metrics, wait_grid=wait_grid,
                      wait_ccdf=wait_ccdf, qlen_pmf=qlen, unstable=unstable)
+
+
+def _spread(vals: np.ndarray) -> float:
+    """Sample standard deviation; where its squares overflow (means near
+    1e154 and beyond), that of the values scaled by their largest
+    magnitude, times that magnitude."""
+    with np.errstate(over="ignore"):
+        sd = float(vals.std(ddof=1))
+    if math.isinf(sd) and np.isfinite(vals).all():
+        top = float(np.max(np.abs(vals)))
+        sd = top * float((vals / top).std(ddof=1))
+    return sd
 
 
 def _one_replication(config: SimConfig, service_draw, index: int,

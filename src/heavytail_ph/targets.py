@@ -132,7 +132,12 @@ class TargetDistribution:
 # -- pointwise evaluation -------------------------------------------------
 
 def ccdf(dist: TargetDistribution, x: float) -> float:
-    """Complementary CDF of the target at x >= 0."""
+    """Complementary CDF of the target at x >= 0.
+
+    x is taken as a Python float, so a numpy float64 overflows past the
+    largest float as a float does (OverflowError), not to inf.
+    """
+    x = float(x)
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     kind, p = dist.kind, dist.params
@@ -159,7 +164,9 @@ def cdf(dist: TargetDistribution, x: float) -> float:
 
 
 def pdf(dist: TargetDistribution, x: float) -> float:
-    """Density of the target at x >= 0 (tabulated: central difference)."""
+    """Density of the target at x >= 0 (tabulated: central difference);
+    x is taken as a Python float, as in `ccdf`."""
+    x = float(x)
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     kind, p = dist.kind, dist.params

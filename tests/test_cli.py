@@ -112,6 +112,7 @@ _SMALL_SIM = ["--jobs", "2000", "--warmup", "100", "--replications", "2"]
     ["fit", "--target", "pareto", "--shape", "3.1", "--lr", "0"],
     ["fit", "--target", "pareto", "--shape", "3.1", "--grid-size", "1"],
     ["fit", "--target", "pareto", "--shape", "3.1", "--tail-window", "5,1"],
+    ["fit", "--target", "pareto", "--shape", "3.1", "--grid-window=-1,100"],
     ["fit", "--target-csv", "{high}"],
     ["fit", "--target-csv", "{flat_above_median}"],
     ["fit", "--target-csv", "{flat_below_median}"],
@@ -123,7 +124,8 @@ _SMALL_SIM = ["--jobs", "2000", "--warmup", "100", "--replications", "2"]
   + [["simulate", *a, *_SMALL_SIM] for a in _BAD_TARGETS.values()],
     ids=["bad-weights", "bph-order-0", "k-0", "jobs-not-above-warmup",
          "malformed-model", "he-k-1", "lr-0", "grid-size-1",
-         "reversed-tail-window", "csv-ccdf-stays-high",
+         "reversed-tail-window", "negative-grid-window",
+         "csv-ccdf-stays-high",
          "csv-flat-tail-above-median", "csv-flat-tail-below-median",
          "simulate-csv-flat-tail", "bph-csv-flat-below-body-edge",
          "bph-he-csv-flat-in-tail"]
@@ -180,15 +182,21 @@ def test_slow_falling_table_exits_non_convergence(runner, tmp_path, command):
     assert not (tmp_path / "sim_metrics.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_burr_draws_past_the_power_overflow_do_not_crash(runner, tmp_path):
     # Burr(2, 0.01) puts draws far beyond 1e154, where x ** c overflows a
     # float while the CCDF is still about 1e-3; a draw beyond the largest
-    # float exits 4.
+    # float exits 4. Replication means near 1e179 overflow the squares of
+    # their standard deviation, which must still give a finite half-width.
     result = runner.invoke(cli.main, [
         "simulate", "--target", "burr", "--c", "2", "--d", "0.01",
         *_SMALL_SIM, "--out", str(tmp_path)], catch_exceptions=False)
     assert result.exit_code in (0, cli.EXIT_NON_CONVERGENCE)
     assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        doc = json.loads((tmp_path / "sim_metrics.json").read_text())
+        for name, est in doc["estimates"].items():
+            assert math.isfinite(est["halfwidth95"]), name
 
 
 # Windows far beyond where the CCDF underflows. Pareto(3.1) up to 1e200 has

@@ -17,7 +17,7 @@ from heavytail_ph._backend import bernstein_he_ccdf
 from heavytail_ph.constants import PROB_NOISE_TOL, RESIDUAL_NEG_TOL
 from heavytail_ph.errors import InvalidModelError
 from heavytail_ph.hefit import HyperExp
-from heavytail_ph.optimizer import pow2_points
+from heavytail_ph.optimizer import AdamConfig, pow2_points
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +171,16 @@ def test_meta_propagates():
     assert hy.assembled.meta["kind"] == "bph_he"
     assert hy.assembled.meta["order_bph"] == 30
     assert hy.assembled.meta["terms_he"] == 1
+
+
+def test_fit_assembles_the_dense_generator_once(pareto, monkeypatch):
+    # The optimizer scores candidates through the closed-form CCDF; only
+    # the final model of a fit is assembled into (alpha, A).
+    calls = []
+    generator = bph.generator
+    monkeypatch.setattr(bph, "generator",
+                        lambda n: calls.append(n) or generator(n))
+    out = fitting.fit_bph_he(pareto, adam=AdamConfig(max_iters=20))
+    assert len(out.trace) == 21
+    assert calls == [100]
+    assert out.hybrid.assembled is out.hybrid.assembled

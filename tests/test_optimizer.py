@@ -17,8 +17,7 @@ from heavytail_ph import bph, fitting, hefit, optimizer
 from heavytail_ph import targets as targets_mod
 from heavytail_ph.hybrid import build_hybrid, hybrid_ccdf
 from heavytail_ph.optimizer import (AdamConfig, EvalGrid, LossEvaluator,
-                                    LossWeights, loss, optimize,
-                                    pow2_points)
+                                    LossWeights, optimize, pow2_points)
 
 GOOD_POINTS = [8.67, 13.09, 24.5, 45.3, 94.1, 213.8, 591.2, 1375.1]
 
@@ -67,7 +66,7 @@ def test_feasible_loss_is_weighted_mae(pareto, grid):
     # [DERIVED] for a buildable candidate the loss is w_mae * grid MAE
     # of the hybrid CCDF, with zero penalties; recompute it directly.
     w = LossWeights()
-    b = loss(GOOD_POINTS, pareto, 4, 100, grid, w)
+    b = LossEvaluator(pareto, 4, 100, grid, w)(GOOD_POINTS)
     assert b.pen_lambda == 0.0 and b.pen_p == 0.0
     Fbar = lambda x: targets_mod.ccdf(pareto, x)
     hy = build_hybrid(Fbar, 4, 100, GOOD_POINTS)
@@ -107,8 +106,8 @@ def test_basis_loss_equals_hybrid_ccdf_mae_exactly(pareto, grid):
 def test_invalid_candidate_penalized(pareto, grid):
     # Points forcing a negative recursion residual produce NaN parameters,
     # which must surface as positive penalties, not exceptions.
-    b = loss([0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7], pareto, 4, 100,
-             grid, LossWeights())
+    b = LossEvaluator(pareto, 4, 100, grid, LossWeights())(
+        [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
     assert b.total > 0.0
     assert b.pen_lambda > 0.0 or b.pen_p > 0.0
     assert math.isfinite(b.total)
@@ -205,6 +204,69 @@ def test_gradient_matches_central_differences(all_targets, name):
             fd[j] = (ev(np.exp(u + bump)).total
                      - ev(np.exp(u - bump)).total) / (2.0 * h)
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+        checked += 1
+    assert checked >= 5
+
+
+def _refreshed_gradient(ev: LossEvaluator, points) -> np.ndarray:
+    """The gradient by the formula that evaluates F-bar at the fit points
+    and the interpolation Jacobian afresh, after the call `ev(points)`."""
+    points = np.asarray(points, dtype=float)
+    _, hy, y_hat, _ = ev._last
+    p, lam = hy.he.p, hy.he.lam
+    order = np.argsort(points)[::-1]
+    x = points[order]
+    fx = np.array([ev.Fbar(t) for t in x])
+    _, jac = hefit.interpolation_system(x, fx, p, lam)
+    dens = np.array([ev.pdf(t) for t in x])
+    dr_dx = (dens - np.exp(-np.multiply.outer(x, lam)) @ (lam * p)) / fx
+
+    def terms_jacobian(ts):
+        return hefit.interpolation_system(ts, np.ones(len(ts)), p, lam)[1]
+
+    nodes = bph.grid_points(ev.n)
+    he_nodes = terms_jacobian(nodes)
+    res = np.array([ev.Fbar(t) for t in nodes]) - he_nodes[:, :p.size].sum(1)
+    d_clamped = np.where((res > 0.0)[:, None], -he_nodes, 0.0)
+    d_weights = np.diff(d_clamped, axis=0, prepend=0.0)
+    d_weights[hy.bph.weights <= 0.0] = 0.0
+    d_nodes = np.cumsum(d_weights, axis=0)
+    g = (ev.weights.w_mae / y_hat.size) * np.sign(y_hat - ev.y)
+    d_theta = ((g @ ev._basis) @ d_nodes + g @ terms_jacobian(ev.grid.points))
+    d_x = -dr_dx * np.linalg.solve(jac.T, d_theta)
+    grad = np.empty_like(d_x)
+    grad[order] = x * d_x
+    return grad
+
+
+@pytest.mark.filterwarnings("ignore:residual CCDF clamped")
+@pytest.mark.parametrize("name", ["pareto", "burr", "lognormal", "weibull"])
+def test_gradient_reuses_the_build(all_targets, name, monkeypatch):
+    # The gradient takes F-bar at the fit points and the interpolation
+    # Jacobian from the HE solve of the call it follows, so it evaluates the
+    # target CCDF nowhere, and it equals the formula that evaluates both
+    # afresh.
+    target = all_targets[name]
+    s = fitting.body_scale(target)
+    tgrid = EvalGrid(points=fitting.default_grid(target).points / s)
+    ev = LossEvaluator(target, 4, 100, tgrid, LossWeights(), scale=s)
+    calls = []
+    ccdf = targets_mod.ccdf
+    monkeypatch.setattr(targets_mod, "ccdf",
+                        lambda *args: calls.append(args) or ccdf(*args))
+    start = np.log(pow2_points(8, math.log(100), float(tgrid.points[-1])))
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(20):
+        points = np.exp(start + rng.normal(0.0, 0.05, start.size))
+        ev(points)
+        before = len(calls)
+        grad = ev.gradient()
+        if grad is None:
+            continue
+        assert len(calls) == before
+        ref = _refreshed_gradient(ev, points)
+        assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
         checked += 1
     assert checked >= 5
 

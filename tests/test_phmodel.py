@@ -213,6 +213,40 @@ def test_moment_matches_quadrature():
     assert phmodel.mean(m) == pytest.approx(val, rel=1e-8)
 
 
+def _dense_moment(model, k):
+    """k! * alpha * (-A)^{-k} * 1 by k linear solves."""
+    y = np.ones(model.order)
+    for _ in range(k):
+        y = np.linalg.solve(-model.A, y)
+    return math.factorial(k) * float(model.alpha @ y)
+
+
+@pytest.mark.parametrize("name", ["stored-hybrid", "scaled-hybrid", "bph",
+                                  "he", "bph_he"])
+def test_structured_moments_are_closed_form(fitted_models, name,
+                                            monkeypatch):
+    # [DERIVED] a structured model's m1 and m2 are sums over its
+    # exponential stages: no linear solve, and the solves' values to
+    # rounding. m3 keeps the solves, bit for bit.
+    m, _ = fitted_models[name]
+    dense = {k: _dense_moment(m, k) for k in (1, 2, 3)}
+    assert phmodel.moment(m, 3) == dense[3]
+
+    def no_solve(*args):
+        raise AssertionError("dense solve on a structured model")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    for k in (1, 2):
+        assert phmodel.moment(m, k) == pytest.approx(dense[k], rel=1e-12)
+
+
+def test_unstructured_moments_take_the_dense_solves():
+    m = random_stable_ph(np.random.default_rng(4), 5)
+    assert phmodel.bernstein_structure(m.A) is None
+    for k in (1, 2, 3):
+        assert phmodel.moment(m, k) == _dense_moment(m, k)
+
+
 def test_scale_to_mean_exact():
     rng = np.random.default_rng(5)
     m = random_stable_ph(rng, 3)
@@ -244,6 +278,29 @@ def test_save_load_roundtrip(tmp_path):
         with open(path) as fh:
             assert json.load(fh) == {"format": 1, **m.to_dict()}
     assert models[1].order == 104 and models[1].meta["kind"] == "bph_he"
+
+
+def _json_dumps_text(model):
+    """The model file as written row by row through json.dumps."""
+    doc = model.to_dict()
+    rows = ",\n    ".join(map(json.dumps, doc["A"]))
+    return (f'{{\n  "format": 1,\n'
+            f'  "alpha": {json.dumps(doc["alpha"])},\n'
+            f'  "A": [\n    {rows}\n  ],\n'
+            f'  "meta": {json.dumps(doc["meta"])}\n}}\n')
+
+
+def test_save_matches_json_dumps_rows(tmp_path):
+    # Zeros of A are written without json.dumps: -0.0, subnormals, huge and
+    # non-finite entries must still read as json.dumps writes them.
+    A = np.zeros((5, 5))
+    A[0, :] = [-0.0, 5e-324, -2.5e-310, 1e300, -1e300]
+    A[2, 1], A[3, 3], A[4, 0] = np.inf, np.nan, -np.inf
+    odd = PhaseTypeModel(alpha=np.full(5, 0.2), A=A, meta={"tag": "x"})
+    for m in (odd, PhaseTypeModel.load(STORED_HYBRID)):
+        path = tmp_path / "model.json"
+        m.save(path)
+        assert path.read_text() == _json_dumps_text(m)
 
 
 # -- sampling --------------------------------------------------------------

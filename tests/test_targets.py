@@ -357,13 +357,18 @@ def test_ccdf_array_matches_scalar(all_targets):
                                    rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_burr_past_the_power_overflow():
     # x ** 2 overflows a float above about 1.34e154, and (1 + x ** 2) ** 1.01
     # in the density above about 1e153; Burr(2, 0.01) still has CCDF about
-    # 1e-3 there, and it falls as x^-0.02 (the log form).
+    # 1e-3 there, and it falls as x^-0.02 (the log form). A numpy float64
+    # takes the same path as a float, without an overflow warning.
     dist = TargetDistribution(kind="burr", params={"c": 2.0, "d": 0.01})
     xs = [1e153, 1e154, 2e154, 1e160, 1e200, 1e250, 1e300, 1.7e308]
     scalar = np.array([targets.ccdf(dist, x) for x in xs])
+    for x in xs:
+        assert targets.ccdf(dist, np.float64(x)) == targets.ccdf(dist, x)
+        assert targets.pdf(dist, np.float64(x)) == targets.pdf(dist, x)
     np.testing.assert_allclose(targets.ccdf_array(dist, np.array(xs)),
                                scalar, rtol=1e-14, atol=0.0)
     assert np.all(scalar > 0.0)
