@@ -108,7 +108,7 @@ def _spread(vals: np.ndarray) -> float:
     magnitude, times that magnitude."""
     with np.errstate(over="ignore"):
         sd = float(vals.std(ddof=1))
-    if math.isinf(sd) and np.isfinite(vals).all():
+    if math.isinf(sd):  # any inf or NaN among vals gives NaN instead
         top = float(np.max(np.abs(vals)))
         sd = top * float((vals / top).std(ddof=1))
     return sd

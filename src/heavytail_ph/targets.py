@@ -132,12 +132,7 @@ class TargetDistribution:
 # -- pointwise evaluation -------------------------------------------------
 
 def ccdf(dist: TargetDistribution, x: float) -> float:
-    """Complementary CDF of the target at x >= 0.
-
-    x is taken as a Python float, so a numpy float64 overflows past the
-    largest float as a float does (OverflowError), not to inf.
-    """
-    x = float(x)
+    """Complementary CDF of the target at x >= 0."""
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     kind, p = dist.kind, dist.params
@@ -145,6 +140,7 @@ def ccdf(dist: TargetDistribution, x: float) -> float:
         return (1.0 + x) ** -p["shape"]
     if kind == "burr":
         c, d = p["c"], p["d"]
+        x = float(x)  # a numpy float64 power overflows to inf, not raising
         try:
             return (1.0 + x ** c) ** -d
         except OverflowError:  # x ** c beyond the largest float
@@ -164,9 +160,7 @@ def cdf(dist: TargetDistribution, x: float) -> float:
 
 
 def pdf(dist: TargetDistribution, x: float) -> float:
-    """Density of the target at x >= 0 (tabulated: central difference);
-    x is taken as a Python float, as in `ccdf`."""
-    x = float(x)
+    """Density of the target at x >= 0 (tabulated: central difference)."""
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     kind, p = dist.kind, dist.params
@@ -177,6 +171,7 @@ def pdf(dist: TargetDistribution, x: float) -> float:
         c, d = p["c"], p["d"]
         if x == 0.0:
             return math.inf if c < 1 else (float(d) if c == 1 else 0.0)
+        x = float(x)  # as in ccdf
         try:
             return c * d * x ** (c - 1.0) / (1.0 + x ** c) ** (d + 1.0)
         except OverflowError:  # x ** c or its power beyond the largest float
