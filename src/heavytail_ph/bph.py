@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import WEIGHT_NEG_TOL
+from .errors import InvalidModelError
 
 DEFAULT_ORDER = 100
 
@@ -47,12 +48,13 @@ def build_from_ccdf(values) -> BphComponent:
     """Weights from the CCDF values at grid_points(n), which must not fall
     from x = log n down to 0: [G(log n), G(log(n/2)) - G(log n), ...,
     G(0) - G(log(n/(n-1)))]. The first weight takes G(+inf) = 0, and G(0)
-    may be below 1 (a defective body)."""
+    may be below 1 (a defective body). A falling value raises
+    InvalidModelError."""
     vals = np.asarray(values, dtype=float)
     diffs = vals - np.concatenate(([0.0], vals[:-1]))
     if np.any(diffs < -WEIGHT_NEG_TOL):
         idx = int(np.argmin(diffs))
-        raise ValueError(
+        raise InvalidModelError(
             f"negative BPH weight {diffs[idx]:.3e} at index {idx}: "
             "input evaluator is not monotone")
     return BphComponent(order=vals.size, weights=np.maximum(diffs, 0.0))

@@ -6,11 +6,11 @@ version, seed, file digests, and wall-clock duration, sufficient to
 reproduce the run.
 """
 
-from __future__ import annotations
-
 import csv
+import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -28,13 +28,18 @@ EXIT_CONFIG = 2
 EXIT_FIT_FAILURE = 3
 EXIT_NON_CONVERGENCE = 4
 
+# The exit code of each error that ends a command (click.BadParameter too).
+_EXIT_CODES = {click.UsageError: EXIT_CONFIG, UnstableQueueError: EXIT_CONFIG,
+               InvalidModelError: EXIT_FIT_FAILURE,
+               NonConvergenceError: EXIT_NON_CONVERGENCE}
+_PREFIXES = {EXIT_FIT_FAILURE: "fit failed: ",
+             EXIT_NON_CONVERGENCE: "numerical non-convergence: "}
+
 
 # -- shared helpers -------------------------------------------------------
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class Run:
@@ -54,7 +59,7 @@ class Run:
     def write_json(self, name: str, doc) -> Path:
         path = self.out / name
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(_finite(doc), fh, indent=2, allow_nan=False)
             fh.write("\n")
         self.outputs[str(path)] = _sha256(path)
         return path
@@ -80,27 +85,28 @@ class Run:
             "duration_s": round(time.monotonic() - self.started, 6),
         }
         with open(self.out / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2)
+            json.dump(_finite(manifest), fh, indent=2, allow_nan=False)
             fh.write("\n")
 
 
-def _config_error(message: str):
-    """Report a configuration error on one line and exit with EXIT_CONFIG."""
-    click.echo(message, err=True)
-    sys.exit(EXIT_CONFIG)
-
-
-def _non_convergence(exc: NonConvergenceError):
-    """Report a numerical failure on one line and exit EXIT_NON_CONVERGENCE."""
-    click.echo(f"numerical non-convergence: {exc}", err=True)
-    sys.exit(EXIT_NON_CONVERGENCE)
+def _finite(doc):
+    """doc with each NaN or infinity as None, which JSON writes as null."""
+    return json.loads(json.dumps(doc), parse_constant=lambda _: None)
 
 
 def _load_model(path) -> phmodel.PhaseTypeModel:
+    """The model at path; one that cannot be read, fails phmodel.validate
+    or is defective (alpha sums below 1) is a configuration error."""
     try:
-        return phmodel.PhaseTypeModel.load(path)
+        model = phmodel.PhaseTypeModel.load(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        _config_error(f"unreadable model: {exc}")
+        raise click.UsageError(f"unreadable model: {exc}")
+    issues = phmodel.validate(model)
+    if not model.is_proper:
+        issues.append(f"alpha sums to {float(model.alpha.sum()):.12g}, not 1")
+    if issues:
+        raise click.UsageError("invalid model: " + "; ".join(issues))
+    return model
 
 
 def _parse_window(text):
@@ -108,16 +114,32 @@ def _parse_window(text):
         parts = [float(v) for v in text.split(",")]
     except ValueError:
         parts = []
-    if len(parts) != 2:
-        raise click.BadParameter("window must be 'x_min,x_max'")
+    if len(parts) != 2 or not np.isfinite(parts).all():
+        raise click.BadParameter("window must be 'x_min,x_max', both finite")
     return tuple(parts)
 
 
 def _parse_range(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise click.BadParameter("range must be 'x0:x1:steps'")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    """(x0, x1, steps) of 'x0:x1:steps', with x0, x1 finite and >= 0."""
+    try:
+        x0, x1, steps = text.split(":")
+        x0, x1, steps = float(x0), float(x1), int(steps)
+    except ValueError:
+        steps = 0
+    if not (steps >= 1 and 0 <= x0 < math.inf and 0 <= x1 < math.inf):
+        raise click.BadParameter(f"range {text!r} must be 'x0:x1:steps' "
+                                 "with finite x0, x1 >= 0 and steps >= 1")
+    return x0, x1, steps
+
+
+_POSITIVE = click.FloatRange(0, min_open=True)
+
+
+def _finite_option(ctx, param, value):
+    """Option callback: click's float ranges let NaN and inf through."""
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not finite")
+    return value
 
 
 _TARGET_OPTIONS = [
@@ -139,28 +161,15 @@ _TARGET_OPTIONS = [
 ]
 
 
-def target_options(fn):
-    for opt in reversed(_TARGET_OPTIONS):
-        fn = opt(fn)
-    return fn
-
-
-def _resolve_target(target_kind, target_json, target_csv, shape, c, d, mu,
-                    sigma, scale, window):
-    """The target and its input files; a target that cannot be read or
-    built exits EXIT_CONFIG."""
+def _resolve_target(target_kind, target_json, target_csv, window, **values):
+    """The target and its input files; a bad target is a usage error."""
     window_t = _parse_window(window) if window else targets_mod.DEFAULT_WINDOW
     given = [bool(target_kind), bool(target_json), bool(target_csv)]
     if sum(given) != 1:
         raise click.UsageError(
             "specify exactly one of --target, --target-json, --target-csv")
-    params_by_kind = {
-        "pareto": {"shape": shape},
-        "burr": {"c": c, "d": d},
-        "lognormal": {"mu": mu, "sigma": sigma},
-        "weibull": {"scale": scale, "shape": shape},
-    }
-    params = params_by_kind.get(target_kind, {})
+    names = targets_mod.PARAM_NAMES.get(target_kind, ())
+    params = {k: values[k] for k in names}
     missing = [k for k, v in params.items() if v is None]
     if missing:
         raise click.UsageError(
@@ -175,14 +184,14 @@ def _resolve_target(target_kind, target_json, target_csv, shape, c, d, mu,
         return targets_mod.TargetDistribution(kind=target_kind, params=params,
                                               window=window_t), []
     except (OSError, ValueError, LookupError, TypeError) as exc:
-        _config_error(f"invalid target: {exc}")
+        raise click.UsageError(f"invalid target: {exc}")
 
 
 _FIT_OPTIONS = [
     click.option("--k", type=int, default=fitting.DEFAULT_K, show_default=True,
                  help="Number of exponential tail terms."),
-    click.option("--bph-order", "n", type=int, default=100, show_default=True,
-                 help="Order of the Bernstein-PH body."),
+    click.option("--bph-order", "n", type=click.IntRange(1), default=100,
+                 show_default=True, help="Order of the Bernstein-PH body."),
     click.option("--grid-size", type=int, default=fitting.DEFAULT_GRID_SIZE,
                  show_default=True, help="Evaluation-grid size."),
     click.option("--grid-window", default=None,
@@ -191,7 +200,8 @@ _FIT_OPTIONS = [
                  help="HE fit-point span 'x0,x1' (default derived)."),
     click.option("--weights", default="0.8,0.1,0.1", show_default=True,
                  help="Loss weights 'w_mae,w_lambda,w_p'."),
-    click.option("--lr", type=float, default=0.01, show_default=True),
+    click.option("--lr", type=_POSITIVE, default=0.01, show_default=True,
+                 callback=_finite_option),
     click.option("--max-iters", type=int, default=500, show_default=True),
     click.option("--seed", type=int, default=0, show_default=True),
     click.option("--no-optimize", is_flag=True,
@@ -201,48 +211,49 @@ _FIT_OPTIONS = [
 ]
 
 
-def fit_options(fn):
-    for opt in reversed(_FIT_OPTIONS):
-        fn = opt(fn)
-    return fn
+def _options(opts):
+    """A decorator that applies the click options opts, first on top."""
+    return lambda fn: functools.reduce(lambda f, o: o(f), reversed(opts), fn)
+
+
+target_options = _options(_TARGET_OPTIONS)
+fit_options = _options(_FIT_OPTIONS)
 
 
 def _fit_config(target, methods, k, n, grid_size, grid_window, tail_window,
                 weights, lr, max_iters):
-    """Validate the fit options up front; each bad value exits EXIT_CONFIG."""
-    if n < 1:
-        _config_error(f"--bph-order must be >= 1, got {n}")
+    """Validate the fit options up front; each bad value is a usage error."""
     # The hybrid's tail needs 2k >= 2 fit points; the complete HE fit
     # spreads 2k-1 points over the tail window, which needs two of them.
     if ("bph_he" in methods and k < 1) or ("he" in methods and k < 2):
-        _config_error(f"--k {k} is too small: bph_he needs k >= 1, "
-                      "he needs k >= 2")
+        raise click.UsageError(f"--k {k} is too small: bph_he needs k >= 1, "
+                               "he needs k >= 2")
     span = _parse_window(grid_window) if grid_window else None
     try:
         w = [float(v) for v in weights.split(",")]
-        if len(w) != 3:
-            raise ValueError("--weights needs three comma-separated numbers")
+        if len(w) != 3 or not np.isfinite(w).all():
+            raise ValueError("--weights needs three finite numbers 'a,b,c'")
         loss_weights = LossWeights(*w)
         adam = AdamConfig(learning_rate=lr, max_iters=max_iters)
         grid = fitting.default_grid(target, m=grid_size, span=span)
     except ValueError as exc:
-        _config_error(f"invalid fit settings: {exc}")
+        raise click.UsageError(f"invalid fit settings: {exc}")
     # None defers fit-point placement to the library defaults.
     tail = _parse_window(tail_window) if tail_window else None
     if tail and not 0.0 < tail[0] < tail[1]:
-        _config_error("--tail-window needs 0 < x0 < x1")
+        raise click.UsageError("--tail-window needs 0 < x0 < x1")
     return loss_weights, adam, grid, tail
 
 
 def _check_body_edge(target, method, grid, tail) -> None:
-    """Exit EXIT_CONFIG when the hybrid's default HE points, which start
-    at the body edge, have no span below the grid top."""
-    if method != "bph_he" or tail is not None:
-        return
+    """A usage error when the hybrid's default HE points, which start at
+    the body edge, have no span below the grid top."""
     level = fitting.BODY_EDGE_CCDF_LEVEL
-    if targets_mod.ccdf_inverse(target, level) >= grid.points[-1]:
-        _config_error(f"the target CCDF stays above {level:g} up to the grid "
-                      f"top {grid.points[-1]:g}; set --tail-window")
+    if (method == "bph_he" and tail is None
+            and targets_mod.ccdf_inverse(target, level) >= grid.points[-1]):
+        raise click.UsageError(f"the target CCDF stays above {level:g} up to "
+                               f"the grid top {grid.points[-1]:g}; set "
+                               "--tail-window")
 
 
 def _run_fit(target, method, k, n, grid, tail, loss_weights, adam,
@@ -264,7 +275,23 @@ def _run_fit(target, method, k, n, grid, tail, loss_weights, adam,
 
 # -- commands -------------------------------------------------------------
 
-@click.group()
+class _Main(click.Group):
+    """The command group: an error listed in _EXIT_CODES ends a command
+    with one line on stderr and that error's exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(_EXIT_CODES) as exc:
+            code = next(c for cls, c in _EXIT_CODES.items()
+                        if isinstance(exc, cls))
+            text = (exc.format_message() if isinstance(exc, click.UsageError)
+                    else str(exc))
+            click.echo(_PREFIXES.get(code, "") + text, err=True)
+            sys.exit(code)
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main():
     """Fit heavy-tailed distributions with phase-type models and validate
@@ -280,16 +307,15 @@ def main():
               help="Also dump the optimizer loss trace as CSV.")
 @click.option("--out", default=".", show_default=True,
               help="Output directory.")
-def cmd_fit(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
-            scale, window, method, k, n, grid_size, grid_window, tail_window,
-            weights, lr, max_iters, seed, no_optimize, no_adjust_mean,
-            trace_csv, out):
+def cmd_fit(method, k, n, grid_size, grid_window, tail_window, weights, lr,
+            max_iters, seed, no_optimize, no_adjust_mean, trace_csv, out,
+            **target_args):
     """Fit a model and write model.json plus a fit report."""
-    target, inputs = _resolve_target(target_kind, target_json, target_csv,
-                                     shape, c, d, mu, sigma, scale, window)
+    target, inputs = _resolve_target(**target_args)
     loss_weights, adam, grid, tail = _fit_config(
         target, [method], k, n, grid_size, grid_window, tail_window, weights,
         lr, max_iters)
+    _check_body_edge(target, method, grid, tail)
     config = {"target": target.to_dict(), "method": method, "k": k,
               "bph_order": n, "grid_size": grid_size,
               "grid_span": [float(grid.points[0]), float(grid.points[-1])],
@@ -299,16 +325,8 @@ def cmd_fit(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
               "lr": lr, "max_iters": max_iters, "no_optimize": no_optimize,
               "adjust_mean": not no_adjust_mean}
     run = Run("fit", config, out, seed=seed, inputs=inputs)
-    try:
-        _check_body_edge(target, method, grid, tail)
-        outcome = _run_fit(target, method, k, n, grid, tail, loss_weights,
-                           adam, no_optimize, adjust_mean=not no_adjust_mean)
-    except InvalidModelError as exc:
-        click.echo(f"fit failed: {exc}", err=True)
-        sys.exit(EXIT_FIT_FAILURE)
-    except NonConvergenceError as exc:
-        _non_convergence(exc)
-
+    outcome = _run_fit(target, method, k, n, grid, tail, loss_weights, adam,
+                       no_optimize, adjust_mean=not no_adjust_mean)
     outcome.model.save(run.out / "model.json")
     run.outputs[str(run.out / "model.json")] = _sha256(run.out / "model.json")
     run.write_json("report.json", outcome.report.to_dict())
@@ -332,12 +350,9 @@ def cmd_eval(model_path, grid_spec, log_grid, out):
     """Tabulate (x, ccdf, cdf, pdf) for a saved model (and its target)."""
     model = _load_model(model_path)
     x0, x1, steps = _parse_range(grid_spec)
-    if log_grid:
-        if x0 <= 0:
-            raise click.UsageError("log grid requires x0 > 0")
-        xs = np.geomspace(x0, x1, steps)
-    else:
-        xs = np.linspace(x0, x1, steps)
+    if log_grid and x0 <= 0:
+        raise click.UsageError("log grid requires x0 > 0")
+    xs = (np.geomspace if log_grid else np.linspace)(x0, x1, steps)
 
     target = None
     if "source_target" in model.meta:
@@ -366,16 +381,15 @@ def cmd_eval(model_path, grid_spec, log_grid, out):
 @fit_options
 @click.option("--methods", default="bph,he,bph_he", show_default=True)
 @click.option("--out", default=".", show_default=True)
-def cmd_compare(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
-                scale, window, k, n, grid_size, grid_window, tail_window,
-                weights, lr, max_iters, seed, no_optimize, no_adjust_mean,
-                methods, out):
+def cmd_compare(k, n, grid_size, grid_window, tail_window, weights, lr,
+                max_iters, seed, no_optimize, no_adjust_mean, methods, out,
+                **target_args):
     """Fit several methods on one target and tabulate their statistics."""
-    target, inputs = _resolve_target(target_kind, target_json, target_csv,
-                                     shape, c, d, mu, sigma, scale, window)
+    target, inputs = _resolve_target(**target_args)
     method_list = [m.strip() for m in methods.split(",") if m.strip()]
-    if not method_list:
-        raise click.UsageError("--methods needs at least one method")
+    if not method_list or not set(method_list) <= set(fitting.FIT_METHODS):
+        raise click.UsageError("--methods must name one or more of "
+                               + ", ".join(fitting.FIT_METHODS))
     loss_weights, adam, grid, tail = _fit_config(
         target, method_list, k, n, grid_size, grid_window, tail_window,
         weights, lr, max_iters)
@@ -387,8 +401,6 @@ def cmd_compare(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
     header = ["method", "mae", "mean_real", "mean_approx", "cv_real",
               "cv_approx"]
     for name in method_list:
-        if name not in fitting.FIT_METHODS:
-            raise click.UsageError(f"unknown method {name!r}")
         try:
             outcome = _run_fit(target, name, k, n, grid, tail, loss_weights,
                                adam, no_optimize,
@@ -410,38 +422,35 @@ def cmd_compare(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
 @main.command("queue")
 @click.option("--model", "model_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--lam", "--lambda", "lam", type=float, default=0.5,
-              show_default=True, help="Poisson arrival rate.")
-@click.option("--adjust-mean", type=float, default=None,
+@click.option("--lam", "--lambda", "lam", type=_POSITIVE, default=0.5,
+              show_default=True, callback=_finite_option,
+              help="Poisson arrival rate.")
+@click.option("--adjust-mean", type=_POSITIVE, default=None,
+              callback=_finite_option,
               help="Rescale the service model to this mean first.")
 @click.option("--wait-grid", default=None, help="Waiting-time grid 'x0:x1:steps'.")
-@click.option("--qlen-max", type=int, default=None,
+@click.option("--qlen-max", type=click.IntRange(0), default=None,
               help="Tabulate P(N=n) up to this n.")
 @click.option("--out", default=".", show_default=True)
 def cmd_queue(model_path, lam, adjust_mean, wait_grid, qlen_max, out):
     """Analytic M/PH/1 metrics (and optional distribution curves)."""
     model = _load_model(model_path)
+    xs = np.linspace(*_parse_range(wait_grid)) if wait_grid else None
     run = Run("queue", {"model": model_path, "lam": lam,
                         "adjust_mean": adjust_mean, "wait_grid": wait_grid,
                         "qlen_max": qlen_max}, out, inputs=[model_path])
-    try:
-        if adjust_mean is not None:
-            model = phmodel.scale_to_mean(model, adjust_mean)
-        metrics = queueing.mph1_metrics(lam, model)
-        run.write_json("metrics.json", metrics.to_dict())
-        if wait_grid:
-            x0, x1, steps = _parse_range(wait_grid)
-            xs = np.linspace(x0, x1, steps)
-            vals = queueing.waiting_time_ccdf(lam, model, xs)
-            run.write_csv("wait_ccdf.csv", ["x", "ccdf"],
-                          [(f"{x:.12g}", f"{v:.12g}") for x, v in zip(xs, vals)])
-        if qlen_max is not None:
-            probs = queueing.queue_length_dist(lam, model, qlen_max)
-            run.write_csv("queue_length.csv", ["n", "probability"],
-                          [(i, f"{p:.12g}") for i, p in enumerate(probs)])
-    except UnstableQueueError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
+    if adjust_mean is not None:
+        model = phmodel.scale_to_mean(model, adjust_mean)
+    metrics = queueing.mph1_metrics(lam, model)
+    run.write_json("metrics.json", metrics.to_dict())
+    if xs is not None:
+        vals = queueing.waiting_time_ccdf(lam, model, xs)
+        run.write_csv("wait_ccdf.csv", ["x", "ccdf"],
+                      [(f"{x:.12g}", f"{v:.12g}") for x, v in zip(xs, vals)])
+    if qlen_max is not None:
+        probs = queueing.queue_length_dist(lam, model, qlen_max)
+        run.write_csv("queue_length.csv", ["n", "probability"],
+                      [(i, f"{p:.12g}") for i, p in enumerate(probs)])
     run.finish()
     click.echo(json.dumps(metrics.to_dict(), indent=2))
 
@@ -451,48 +460,39 @@ def cmd_queue(model_path, lam, adjust_mean, wait_grid, qlen_max, out):
 @click.option("--model", "model_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="Simulate a saved PH model instead of a target.")
-@click.option("--lam", "--lambda", "lam", type=float, default=0.5,
-              show_default=True)
+@click.option("--lam", "--lambda", "lam", type=_POSITIVE, default=0.5,
+              show_default=True, callback=_finite_option)
 @click.option("--jobs", type=int, default=2_000_000, show_default=True)
 @click.option("--warmup", type=int, default=100_000, show_default=True)
 @click.option("--replications", type=int, default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--wait-grid", default=None, help="'x0:x1:steps'.")
-@click.option("--qlen-max", type=int, default=50, show_default=True)
+@click.option("--qlen-max", type=click.IntRange(0), default=50,
+              show_default=True)
 @click.option("--curves", is_flag=True, help="Also write empirical curves.")
 @click.option("--out", default=".", show_default=True)
-def cmd_simulate(target_kind, target_json, target_csv, shape, c, d, mu, sigma,
-                 scale, window, model_path, lam, jobs, warmup, replications,
-                 seed, wait_grid, qlen_max, curves, out):
+def cmd_simulate(model_path, lam, jobs, warmup, replications, seed, wait_grid,
+                 qlen_max, curves, out, **target_args):
     """Simulate the M/G/1 queue as an independent oracle."""
-    grid = ()
-    if wait_grid:
-        x0, x1, steps = _parse_range(wait_grid)
-        grid = tuple(np.linspace(x0, x1, steps))
+    grid = tuple(np.linspace(*_parse_range(wait_grid))) if wait_grid else ()
     try:
         config = simqueue.SimConfig(lam=lam, jobs=jobs, warmup=warmup,
                                     seed=seed, replications=replications,
                                     wait_grid=grid, qlen_max=qlen_max)
     except ValueError as exc:
-        _config_error(f"invalid simulation settings: {exc}")
-    inputs = []
+        raise click.UsageError(f"invalid simulation settings: {exc}")
     if model_path:
-        model = _load_model(model_path)
-        service = simqueue.model_service(model)
+        service = simqueue.model_service(_load_model(model_path))
         source = {"model": model_path}
-        inputs.append(model_path)
+        inputs = [model_path]
     else:
-        target, inputs = _resolve_target(target_kind, target_json, target_csv,
-                                         shape, c, d, mu, sigma, scale, window)
+        target, inputs = _resolve_target(**target_args)
         service = simqueue.target_service(target)
         source = {"target": target.to_dict()}
     run = Run("simulate", {**source, "lam": lam, "jobs": jobs,
                            "warmup": warmup, "replications": replications},
               out, seed=seed, inputs=inputs)
-    try:
-        result = simqueue.run_mg1(config, service)
-    except NonConvergenceError as exc:
-        _non_convergence(exc)
+    result = simqueue.run_mg1(config, service)
     doc = result.to_dict()
     run.write_json("sim_metrics.json",
                    {"estimates": doc["estimates"], "unstable": doc["unstable"]})

@@ -85,8 +85,10 @@ def canonical_points(points, expected_len: int) -> np.ndarray:
         raise ValueError(f"expected {expected_len} fit points, got {pts.size}")
     if np.any(pts <= 0):
         raise ValueError("fit points must be strictly positive")
+    # Points that coincide (e.g. more default points than floats tell
+    # apart) leave no feasible fit.
     if np.any(np.diff(pts) == 0):
-        raise ValueError("fit points must be pairwise distinct")
+        raise InvalidModelError("fit points must be pairwise distinct")
     return pts
 
 

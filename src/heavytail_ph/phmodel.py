@@ -99,6 +99,8 @@ def validate(model: PhaseTypeModel) -> list[str]:
     """Return the list of violated invariants (empty when valid)."""
     issues = []
     alpha, A = model.alpha, model.A
+    if not (np.isfinite(alpha).all() and np.isfinite(A).all()):
+        issues.append("alpha or A has a non-finite entry")
     for i in np.flatnonzero((alpha < -PROB_NOISE_TOL)
                             | (alpha > 1.0 + PROB_NOISE_TOL)):
         kind = "negative" if alpha[i] < 0 else "exceeds 1"

@@ -129,18 +129,3 @@ def queue_length_dist(lam: float, service: PhaseTypeModel,
         vec = vec @ R
     return probs
 
-
-def queue_length_mean(lam: float, service: PhaseTypeModel) -> float:
-    """E[N] summed over the full matrix-geometric tail."""
-    pi0, pi1, R = _qbd_solution(lam, service)
-    inv_ir = np.linalg.inv(np.eye(service.order) - R)
-    return float(pi1 @ inv_ir @ inv_ir @ np.ones(service.order))
-
-
-def queue_length_tail_mass(lam: float, service: PhaseTypeModel,
-                           n_max: int) -> float:
-    """Probability mass at levels above n_max (reported tail bound)."""
-    pi0, pi1, R = _qbd_solution(lam, service)
-    inv_ir = np.linalg.inv(np.eye(service.order) - R)
-    vec = pi1 @ np.linalg.matrix_power(R, n_max)
-    return float(vec @ inv_ir @ np.ones(service.order))

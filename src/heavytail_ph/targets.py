@@ -88,7 +88,11 @@ class TargetDistribution:
             if missing:
                 raise ValueError(f"{self.kind} target missing params {missing}")
             for name in PARAM_NAMES[self.kind]:
-                if not self.params[name] > 0:
+                value = self.params[name]
+                if name == "mu":  # Lognormal's log-scale: any real value
+                    if not math.isfinite(value):
+                        raise ValueError("parameter mu must be finite")
+                elif not value > 0:
                     raise ValueError(f"parameter {name} must be positive")
 
     # -- serialization ----------------------------------------------------

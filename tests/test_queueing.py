@@ -125,20 +125,22 @@ def test_queue_length_sums_to_one():
     rng = np.random.default_rng(6)
     service = random_stable_ph(rng, 3)
     lam = 0.5 / phmodel.mean(service)
-    probs = queueing.queue_length_dist(lam, service, 200)
-    tail = queueing.queue_length_tail_mass(lam, service, 201)
-    assert float(probs.sum()) + tail == pytest.approx(1.0, abs=1e-10)
+    # Far enough out that the geometric tail beyond n_max is below 1e-10.
+    probs = queueing.queue_length_dist(lam, service, 400)
+    assert float(probs.sum()) == pytest.approx(1.0, abs=1e-10)
     assert np.all(probs >= 0)
 
 
 def test_queue_length_mean_matches_little():
-    # [DERIVED] E[N] from the matrix-geometric sum vs Little's law.
+    # [DERIVED] E[N] summed over the matrix-geometric distribution vs
+    # Little's law; the terms beyond n_max are below 1e-9 of the mean.
     rng = np.random.default_rng(8)
     service = random_stable_ph(rng, 4)
     lam = 0.7 / phmodel.mean(service)
     pk = queueing.mph1_metrics(lam, service)
-    assert queueing.queue_length_mean(lam, service) == pytest.approx(
-        pk.E_N, rel=1e-9)
+    probs = queueing.queue_length_dist(lam, service, 400)
+    assert float(np.arange(probs.size) @ probs) == pytest.approx(pk.E_N,
+                                                                 rel=1e-9)
 
 
 def test_queue_length_rejects_negative_nmax():
