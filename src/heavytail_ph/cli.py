@@ -95,8 +95,9 @@ def _finite(doc):
 
 
 def _load_model(path) -> phmodel.PhaseTypeModel:
-    """The model at path; one that cannot be read, fails phmodel.validate
-    or is defective (alpha sums below 1) is a configuration error."""
+    """The model at path; one that cannot be read, fails phmodel.validate,
+    is defective (alpha sums below 1) or has a phase that alpha reaches
+    but that never reaches absorption is a configuration error."""
     try:
         model = phmodel.PhaseTypeModel.load(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -104,9 +105,24 @@ def _load_model(path) -> phmodel.PhaseTypeModel:
     issues = phmodel.validate(model)
     if not model.is_proper:
         issues.append(f"alpha sums to {float(model.alpha.sum()):.12g}, not 1")
+    if not issues and (trapped := _trapped(model)):
+        issues.append(f"phases {trapped} never reach absorption")
     if issues:
         raise click.UsageError("invalid model: " + "; ".join(issues))
     return model
+
+
+def _trapped(model) -> list[int]:
+    """The phases that alpha reaches and from which no jumps lead to a
+    phase with an exit, so that a chain there is never absorbed."""
+    moves = model.A > 0  # the jumps between the phases of a valid model
+    reach = np.array([model.alpha > 0, model.exit_rates > 0])
+    for _ in range(model.order):  # a path visits each phase at most once
+        grown = reach | [reach[0] @ moves, moves @ reach[1]]
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    return np.flatnonzero(reach[0] & ~reach[1]).tolist()
 
 
 def _parse_window(text):
@@ -354,10 +370,12 @@ def cmd_eval(model_path, grid_spec, log_grid, out):
         raise click.UsageError("log grid requires x0 > 0")
     xs = (np.geomspace if log_grid else np.linspace)(x0, x1, steps)
 
-    target = None
-    if "source_target" in model.meta:
-        target = targets_mod.TargetDistribution.from_dict(
-            model.meta["source_target"])
+    doc = model.meta.get("source_target")
+    try:
+        target = (None if doc is None
+                  else targets_mod.TargetDistribution.from_dict(doc))
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise click.UsageError(f"invalid source_target: {exc}")
 
     run = Run("eval", {"model": model_path, "grid": grid_spec,
                        "log_grid": log_grid}, out, inputs=[model_path])
@@ -367,7 +385,7 @@ def cmd_eval(model_path, grid_spec, log_grid, out):
     cols = [xs, m_ccdf, 1.0 - m_ccdf, m_pdf]
     if target is not None:
         header += ["target_ccdf", "target_cdf", "target_pdf"]
-        t_ccdf = np.array([targets_mod.ccdf(target, x) for x in xs])
+        t_ccdf = targets_mod.ccdf_array(target, xs)
         t_pdf = np.array([targets_mod.pdf(target, x) for x in xs])
         cols += [t_ccdf, 1.0 - t_ccdf, t_pdf]
     rows = [[f"{v:.12g}" for v in row] for row in zip(*cols)]

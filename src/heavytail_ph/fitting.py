@@ -9,7 +9,7 @@ capped at the window edge), and the evaluation grid spans the same range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,11 +44,7 @@ class FitReport:
     he_points: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"method": self.method, "mae": self.mae,
-                "mean_real": self.mean_real, "mean_approx": self.mean_approx,
-                "cv_real": self.cv_real, "cv_approx": self.cv_approx,
-                "grid_span": list(self.grid_span),
-                "he_points": list(self.he_points)}
+        return {**asdict(self), "grid_span": list(self.grid_span)}
 
 
 @dataclass(frozen=True)
@@ -109,40 +105,41 @@ def _apply_mean_adjust(model, m_real: float, adjust: bool):
     return phmodel.scale_to_mean(model, m_real), ratio
 
 
-def grid_mae(target, model_ccdf, grid: EvalGrid) -> float:
+def grid_mae(target, y_hat, grid: EvalGrid) -> float:
+    """MAE of the model CCDF values y_hat on the grid against the target."""
     y = targets_mod.ccdf_array(target, grid.points)
-    y_hat = np.asarray(model_ccdf(grid.points), dtype=float)
     return float(np.mean(np.abs(y - y_hat)))
 
 
-def _report(target, stats, method, model, model_ccdf, grid,
+def _report(target, stats, method, model, y_hat, grid,
             he_points=()) -> FitReport:
-    """Fit report; `stats` is the target's numeric_stats over its window."""
+    """Fit report from the model CCDF y_hat on the grid; `stats` is the
+    target's numeric_stats over its window."""
     m1, _, cv_real = stats
-    return FitReport(method=method,
-                     mae=grid_mae(target, model_ccdf, grid),
+    return FitReport(method=method, mae=grid_mae(target, y_hat, grid),
                      mean_real=m1, mean_approx=phmodel.moment(model, 1),
                      cv_real=cv_real, cv_approx=phmodel.cv(model),
                      grid_span=(float(grid.points[0]), float(grid.points[-1])),
                      he_points=[float(x) for x in he_points])
 
 
-def _hybrid_outcome(target, method, k, n, s, points, grid, adjust_mean,
-                    meta, trace=()) -> FitOutcome:
-    """Build the hybrid at the scaled-time `points`, divide its generator
-    by the time scale s, adjust the mean and report on the grid."""
-    hy = build_hybrid(lambda t: targets_mod.ccdf(target, s * t), k, n,
-                      points, meta={**meta, "body_scale": s,
-                                    "source_target": target.to_dict()})
+def _hybrid_outcome(target, method, n, s, points, grid, adjust_mean, meta,
+                    trace=()) -> FitOutcome:
+    """Build the hybrid at the scaled-time `points` from the target CCDF
+    read as `LossEvaluator` reads it (so it is the hybrid the optimizer
+    scored), divide its generator by s, adjust the mean and report."""
+    hy = build_hybrid(points, targets_mod.ccdf_array(target, s * points),
+                      targets_mod.ccdf_array(target,
+                                             s * bph_mod.grid_points(n)),
+                      meta={**meta, "body_scale": s,
+                            "source_target": target.to_dict()})
     model = PhaseTypeModel(alpha=hy.assembled.alpha, A=hy.assembled.A / s,
                            meta=dict(hy.assembled.meta))
     stats = targets_mod.numeric_stats(target)
     model, ratio = _apply_mean_adjust(model, stats[0], adjust_mean)
-    u = ratio / s
     report = _report(target, stats, method, model,
-                     lambda xs: hybrid_ccdf(
-                         hy, np.asarray(xs, dtype=float) * u),
-                     grid, he_points=s * points)
+                     hybrid_ccdf(hy, grid.points * (ratio / s)), grid,
+                     he_points=s * points)
     return FitOutcome(model=model, report=report, hybrid=hy,
                       trace=list(trace))
 
@@ -153,7 +150,7 @@ def fit_bph(target, n: int = bph_mod.DEFAULT_ORDER,
     """BPH-only fit: the hybrid with no tail terms."""
     grid = grid or default_grid(target)
     s = body_scale(target, n)
-    return _hybrid_outcome(target, "bph", 0, n, s, np.empty(0), grid,
+    return _hybrid_outcome(target, "bph", n, s, np.empty(0), grid,
                            adjust_mean, meta={"kind": "bph"})
 
 
@@ -163,14 +160,13 @@ def fit_he(target, k: int = DEFAULT_K, points=None,
     grid = grid or default_grid(target)
     if points is None:
         points = pow2_points(2 * k - 1, *tail_window(target))
-    he = hefit.fit_complete(lambda x: targets_mod.ccdf(target, x), points)
+    he = hefit.fit_complete(points, targets_mod.ccdf_array(target, points))
     model = hefit.to_phase_type(he, meta={"source_target": target.to_dict()})
     stats = targets_mod.numeric_stats(target)
     model, ratio = _apply_mean_adjust(model, stats[0], adjust_mean)
     report = _report(target, stats, "he", model,
-                     lambda xs: hefit.he_ccdf(
-                         he, np.asarray(xs, dtype=float) * ratio),
-                     grid, he_points=points)
+                     hefit.he_ccdf(he, grid.points * ratio), grid,
+                     he_points=points)
     return FitOutcome(model=model, report=report)
 
 
@@ -199,9 +195,9 @@ def fit_bph_he(target, k: int = DEFAULT_K, n: int = bph_mod.DEFAULT_ORDER,
     tgrid = EvalGrid(points=grid.points / s)
     trace: list[LossBreakdown] = []
     if run_optimizer and k > 0:
-        points, trace = optimize(target, k, n, tgrid, weights, adam, points,
+        points, trace = optimize(target, n, tgrid, weights, adam, points,
                                  scale=s)
-    return _hybrid_outcome(target, "bph_he", k, n, s, points, grid,
+    return _hybrid_outcome(target, "bph_he", n, s, points, grid,
                            adjust_mean,
                            meta={"he_points": [float(s * x) for x in points],
                                  "k": k, "n": n},

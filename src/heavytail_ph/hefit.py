@@ -1,9 +1,10 @@
-"""Recursive hyperexponential fitting of a CCDF at prescribed points.
+"""Recursive hyperexponential fitting of CCDF values at prescribed points.
 
-Two variants: the defective fit interpolates at 2k points and leaves the
-total weight below 1, for use as the tail component of a hybrid model; the
-complete fit is the same fit at 2k-1 points plus the point x = 0 with
-value 1, the normalization Fbar(0) = 1.
+Two variants, each given the fit points and the target CCDF values there:
+the defective fit interpolates at 2k points and leaves the total weight
+below 1, for use as the tail component of a hybrid model; the complete
+fit is the same fit at 2k-1 points plus the point x = 0 with value 1, the
+normalization Fbar(0) = 1.
 
 A forward pass fits the terms from the farthest points inward; each
 exponential term is solved from two points of the residual CCDF (target
@@ -73,23 +74,22 @@ class HyperExp:
     def k(self) -> int:
         return self.p.size
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.p.sum())
 
-
-def canonical_points(points, expected_len: int) -> np.ndarray:
-    """Sort fit points descending and validate positivity/distinctness."""
-    pts = np.sort(np.asarray(points, dtype=float))[::-1]
-    if pts.size != expected_len:
-        raise ValueError(f"expected {expected_len} fit points, got {pts.size}")
+def canonical_points(points, fx) -> tuple[np.ndarray, np.ndarray]:
+    """Fit points and the CCDF values there, both in descending order of
+    the points; the points must be positive and pairwise distinct."""
+    pts, fx = np.asarray(points, dtype=float), np.asarray(fx, dtype=float)
+    if pts.shape != fx.shape or pts.ndim != 1:
+        raise ValueError(f"{pts.size} fit points but {fx.size} CCDF values")
+    order = np.argsort(pts)[::-1]
+    pts, fx = pts[order], fx[order]
     if np.any(pts <= 0):
         raise ValueError("fit points must be strictly positive")
     # Points that coincide (e.g. more default points than floats tell
     # apart) leave no feasible fit.
     if np.any(np.diff(pts) == 0):
         raise InvalidModelError("fit points must be pairwise distinct")
-    return pts
+    return pts, fx
 
 
 def _residual(f_x: float, x: float, p, lam) -> float:
@@ -197,27 +197,25 @@ def _fit(pts, fx):
     return _newton(pts, fx, p, lam)
 
 
-def fit_complete(Fbar, points) -> HyperExp:
-    """Fit a proper k-term mixture interpolating Fbar at 2k-1 points: the
-    defective fit through those points and x = 0, where the CCDF is 1."""
-    pts = canonical_points(points, len(points))
+def fit_complete(points, fx) -> HyperExp:
+    """Fit a proper k-term mixture through the CCDF values fx at 2k-1
+    points: the defective fit through them and x = 0, where the CCDF is 1."""
+    pts, fx = canonical_points(points, fx)
     if pts.size % 2 == 0:
         raise ValueError("complete fit needs an odd number of points (2k-1)")
-    fx = np.array([float(Fbar(x)) for x in pts] + [1.0])
-    p, lam, _ = _fit(np.append(pts, 0.0), fx)
+    p, lam, _ = _fit(np.append(pts, 0.0), np.append(fx, 1.0))
     return HyperExp(p=p, lam=lam, defective=False)
 
 
-def fit_defective(Fbar, points) -> HyperExp:
-    """Fit a defective mixture (total weight < 1) interpolating at 2k points.
+def fit_defective(points, fx) -> HyperExp:
+    """Fit a defective mixture (total weight < 1) through fx at 2k points.
 
     The returned mixture keeps its `TailFit`: the points in descending
-    order, Fbar there, and the interpolation Jacobian at the solution.
+    order, fx there, and the interpolation Jacobian at the solution.
     """
-    pts = canonical_points(points, len(points))
+    pts, fx = canonical_points(points, fx)
     if pts.size % 2 != 0:
         raise ValueError("defective fit needs an even number of points (2k)")
-    fx = np.array([float(Fbar(x)) for x in pts])
     p, lam, jac = _fit(pts, fx)
     total = math.fsum(p)
     if total >= 1.0:

@@ -42,21 +42,17 @@ class HybridModel:
         return _assemble(self.bph, self.he, self.meta)
 
 
-def residual_ccdf(Fbar, he: HyperExp, nodes, points,
-                  at_nodes=None) -> np.ndarray:
-    """Residual G-bar(x) = Fbar(x) - HE(x) at the BPH nodes, clamped at 0.
+def residual_ccdf(he: HyperExp, nodes, at_nodes, points,
+                  at_points) -> np.ndarray:
+    """Residual G-bar(x) = Fbar(x) - HE(x) at the BPH nodes, clamped at 0,
+    from Fbar's values at the nodes (at_nodes) and fit points (at_points).
 
     The residual is checked on the nodes and the HE fit points: it raises
     when it dips below -1e-6 there (the HE component overshoots the
-    target); dips within tolerance are clamped with a warning. `at_nodes`,
-    when given, holds Fbar at the nodes, so only the points are evaluated.
+    target); dips within tolerance are clamped with a warning.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    if at_nodes is None:
-        at_nodes = [float(Fbar(x)) for x in nodes]
-    xs = np.concatenate([nodes, np.asarray(points, dtype=float)])
-    fx = np.concatenate([at_nodes, [float(Fbar(x)) for x in points]])
-    vals = fx - he_ccdf(he, xs)
+    vals = (np.concatenate([at_nodes, at_points])
+            - he_ccdf(he, np.concatenate([nodes, points])))
     worst = float(vals.min()) if vals.size else 0.0
     if worst < -RESIDUAL_NEG_TOL:
         raise InvalidModelError(
@@ -64,23 +60,23 @@ def residual_ccdf(Fbar, he: HyperExp, nodes, points,
     if worst < -PROB_NOISE_TOL:
         warnings.warn(f"residual CCDF clamped at 0 (worst dip {worst:.3e})",
                       stacklevel=2)
-    return np.maximum(vals[:nodes.size], 0.0)
+    return np.maximum(vals[:len(nodes)], 0.0)
 
 
-def build_hybrid(Fbar, k: int, n: int, points, meta=None,
-                 at_nodes=None) -> HybridModel:
-    """Fit the defective HE at `points` (2k of them), then the BPH residual.
+def build_hybrid(points, at_points, at_nodes, meta=None) -> HybridModel:
+    """Fit the defective HE through the target CCDF values at_points at the
+    2k `points`, then the BPH body to the residual at the n nodes
+    `bph.grid_points(n)`, where the target's values are at_nodes.
 
-    With k = 0 (empty points) the hybrid is the BPH-only model. The target
+    With no points (k = 0) the hybrid is the BPH-only model. The target
     must fall to 0 at +inf, as every `TargetDistribution` does.
-    `at_nodes` optionally holds Fbar at `bph.grid_points(n)`.
     """
-    if k == 0:
-        he = HyperExp(p=np.empty(0), lam=np.empty(0), defective=True)
+    if len(points):
+        he = fit_defective(points, at_points)
     else:
-        he = fit_defective(Fbar, points)
-    node_vals = residual_ccdf(Fbar, he, bph_mod.grid_points(n), points,
-                              at_nodes)
+        he = HyperExp(p=np.empty(0), lam=np.empty(0), defective=True)
+    node_vals = residual_ccdf(he, bph_mod.grid_points(len(at_nodes)),
+                              at_nodes, points, at_points)
     return HybridModel(bph=bph_mod.build_from_ccdf(node_vals), he=he,
                        meta=meta)
 

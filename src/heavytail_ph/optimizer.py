@@ -112,21 +112,19 @@ class LossEvaluator:
     product plus the HE terms.
 
     The loss works in scaled time t = x / scale: the target it fits is
-    F-bar(scale * t), read through `targets.ccdf_array` on the grid and the
-    BPH nodes, and through the scalar `targets.ccdf` at the fit points.
-    After a buildable candidate, `gradient` gives the exact gradient of its
-    loss in log fit-points from the same build: the HE solve's `TailFit`
-    and the grid exponentials e^{-lam t} of the call, so it evaluates the
+    F-bar(scale * t), read by one `targets.ccdf_array` call on the grid,
+    one on the BPH nodes and one per candidate at its 2k fit points, which
+    the HE solve, the residual check and the penalties all use. After a
+    buildable candidate, `gradient` gives the exact gradient of its loss
+    in log fit-points from the same build: the HE solve's `TailFit` and
+    the grid exponentials e^{-lam t} of the call, so it evaluates the
     target CCDF nowhere.
     """
 
-    def __init__(self, target: targets_mod.TargetDistribution, k: int,
-                 n: int, grid: EvalGrid, weights: LossWeights,
-                 scale: float = 1.0):
-        self.Fbar = lambda t: targets_mod.ccdf(target, scale * t)
-        self.pdf = lambda t: scale * targets_mod.pdf(target, scale * t)
-        self.k = k
-        self.n = n
+    def __init__(self, target: targets_mod.TargetDistribution, n: int,
+                 grid: EvalGrid, weights: LossWeights, scale: float = 1.0):
+        self.target = target
+        self.scale = scale
         self.grid = grid
         self.weights = weights
         self.y = targets_mod.ccdf_array(target, scale * grid.points)
@@ -141,17 +139,18 @@ class LossEvaluator:
 
     def __call__(self, points) -> LossBreakdown:
         w = self.weights
+        points = np.asarray(points, dtype=float)
+        fx = targets_mod.ccdf_array(self.target, self.scale * points)
         try:
-            hy = build_hybrid(self.Fbar, self.k, self.n, points,
-                              at_nodes=self._y_nodes)
+            hy = build_hybrid(points, fx, self._y_nodes)
         except (InvalidModelError, ValueError):
             self.last_build_ok = False
             self._last = None
-            return self._raw_loss(points)
+            return self._raw_loss(points, fx)
         self.last_build_ok = True
         expo = np.exp(-np.outer(self.grid.points, hy.he.lam))
         y_hat = basis_he_ccdf(self._basis, hy.bph.node_values, hy.he.p, expo)
-        self._last = (np.asarray(points, dtype=float), hy, y_hat, expo)
+        self._last = (points, hy, y_hat, expo)
         mae = float(np.mean(np.abs(self.y - y_hat)))
         # A successful build implies valid p and lambda: zero penalties.
         return LossBreakdown(w.w_mae * mae, mae, 0.0, 0.0)
@@ -174,7 +173,8 @@ class LossEvaluator:
         points, hy, y_hat, expo = self._last
         p, lam = hy.he.p, hy.he.lam
         x, fx, jac = hy.he.tail_fit  # x in descending order
-        dens = np.array([self.pdf(t) for t in x])
+        dens = self.scale * np.array(
+            [targets_mod.pdf(self.target, self.scale * t) for t in x])
         dr_dx = (dens - np.exp(-np.multiply.outer(x, lam)) @ (lam * p)) / fx
 
         he_nodes = _he_terms_jacobian(
@@ -193,11 +193,10 @@ class LossEvaluator:
         grad[np.argsort(points)[::-1]] = x * d_x  # d/d log x = x d/dx
         return grad
 
-    def _raw_loss(self, points) -> LossBreakdown:
-        fx = np.array([float(self.Fbar(x)) for x in points])
+    def _raw_loss(self, points, fx) -> LossBreakdown:
         p, lam = fit_defective_raw(points, fx)
         bad_lam = np.isnan(lam) | (lam < 0)
-        pen_lambda = float(np.count_nonzero(bad_lam)) / self.k
+        pen_lambda = float(np.count_nonzero(bad_lam)) / lam.size
         with np.errstate(invalid="ignore"):
             low = np.maximum(0.0, -p)
             high = np.maximum(0.0, p - 1.0)
@@ -263,17 +262,18 @@ def _he_terms_jacobian(ts, expo, p, lam) -> np.ndarray:
                           axis=1)
 
 
-def optimize(target, k: int, n: int, grid: EvalGrid, weights: LossWeights,
+def optimize(target, n: int, grid: EvalGrid, weights: LossWeights,
              adam: AdamConfig, init, scale: float = 1.0
              ) -> tuple[np.ndarray, list[LossBreakdown]]:
-    """Adam descent over log fit-points in scaled time (see LossEvaluator);
-    returns best-seen points and trace."""
+    """Adam descent over the 2k log fit-points in scaled time, from the 2k
+    points `init` (see LossEvaluator); returns best-seen points and trace."""
     init = np.asarray(init, dtype=float)
-    if init.size != 2 * k:
-        raise ValueError(f"need {2 * k} initial points, got {init.size}")
+    if init.size < 2 or init.size % 2:
+        raise ValueError("need an even number (2k >= 2) of initial points, "
+                         f"got {init.size}")
     if np.any(init <= 0):
         raise ValueError("initial points must be positive")
-    evaluator = LossEvaluator(target, k, n, grid, weights, scale)
+    evaluator = LossEvaluator(target, n, grid, weights, scale)
 
     u = np.log(init)
     m = np.zeros_like(u)

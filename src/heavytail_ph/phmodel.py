@@ -190,12 +190,6 @@ def pdf(model: PhaseTypeModel, x) -> float | np.ndarray:
     return float(vals[0]) if scalar else vals
 
 
-def cdf(model: PhaseTypeModel, x) -> float | np.ndarray:
-    xs, scalar = _as_grid(x)
-    vals = float(model.alpha.sum()) - ccdf(model, xs)
-    return float(vals[0]) if scalar else vals
-
-
 def _as_grid(x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 0):

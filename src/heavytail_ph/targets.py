@@ -159,10 +159,6 @@ def ccdf(dist: TargetDistribution, x: float) -> float:
     return _tabulated_ccdf(dist, x)
 
 
-def cdf(dist: TargetDistribution, x: float) -> float:
-    return 1.0 - ccdf(dist, x)
-
-
 def pdf(dist: TargetDistribution, x: float) -> float:
     """Density of the target at x >= 0 (tabulated: central difference)."""
     if x < 0:

@@ -119,7 +119,7 @@ def test_criterion_5_structural_invariants(pareto):
     checks = {}
 
     # BPH weights from the CCDF equal the CDF increments.
-    a = cdf_increments(lambda x: targets_mod.cdf(pareto, x), 100)
+    a = cdf_increments(lambda x: 1.0 - targets_mod.ccdf(pareto, x), 100)
     b = bph.build_from_ccdf([targets_mod.ccdf(pareto, x)
                              for x in bph.grid_points(100)])
     checks["bph cdf/ccdf"] = (float(np.max(np.abs(a - b.weights))), 1e-12)
@@ -127,14 +127,15 @@ def test_criterion_5_structural_invariants(pareto):
     # HE interpolation exactness at the fit points.
     Fbar = lambda x: targets_mod.ccdf(pareto, x)
     pts = pow2_points(7, *fitting.tail_window(pareto))
-    he = hefit.fit_complete(Fbar, pts)
+    he = hefit.fit_complete(pts, targets_mod.ccdf_array(pareto, pts))
     he_err = max(abs(hefit.he_ccdf(he, x) - Fbar(x)) / Fbar(x) for x in pts)
     checks["he interpolation"] = (he_err, 1e-10)
 
     # Hybrid closed-form vs matrix-form CCDF.
-    hy = hybrid.build_hybrid(Fbar, 4, 100,
-                             [8.67, 13.09, 24.5, 45.3, 94.1, 213.8,
-                              591.2, 1375.1])
+    points = [8.67, 13.09, 24.5, 45.3, 94.1, 213.8, 591.2, 1375.1]
+    hy = hybrid.build_hybrid(
+        points, targets_mod.ccdf_array(pareto, points),
+        targets_mod.ccdf_array(pareto, bph.grid_points(100)))
     xs = np.linspace(0.0, 50.0, 200)
     checks["hybrid closed/matrix"] = (
         float(np.max(np.abs(hybrid.hybrid_ccdf(hy, xs)
@@ -219,8 +220,8 @@ def test_criterion_7_optimizer_descent(pareto):
     init = pow2_points(8, 2.0, 40.0)
     weights = LossWeights()
     adam = AdamConfig(max_iters=300, patience=60)
-    pts, trace = optimize(pareto, 4, 100, grid, weights, adam, init)
-    final = LossEvaluator(pareto, 4, 100, grid, weights)(pts).total
+    pts, trace = optimize(pareto, 100, grid, weights, adam, init)
+    final = LossEvaluator(pareto, 100, grid, weights)(pts).total
     initial = trace[0].total
     envelope = np.minimum.accumulate([b.total for b in trace])
     monotone = bool(np.all(np.diff(envelope) <= 0))

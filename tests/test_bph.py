@@ -42,7 +42,7 @@ def test_generator_structure():
 
 def test_weights_are_cdf_increments(pareto):
     n = 20
-    F = lambda x: targets_mod.cdf(pareto, x)
+    F = lambda x: 1.0 - targets_mod.ccdf(pareto, x)
     comp = ccdf_component(lambda x: targets_mod.ccdf(pareto, x), n)
     pts = bph.grid_points(n)
     # [DERIVED] first weight is F(inf) - F(log n); the rest are increments.
@@ -52,7 +52,7 @@ def test_weights_are_cdf_increments(pareto):
 
 
 def test_cdf_and_ccdf_builders_agree(pareto):
-    F = lambda x: targets_mod.cdf(pareto, x)
+    F = lambda x: 1.0 - targets_mod.ccdf(pareto, x)
     Fbar = lambda x: targets_mod.ccdf(pareto, x)
     a = cdf_increments(F, 50)
     b = ccdf_component(Fbar, 50)
@@ -71,8 +71,8 @@ def test_bernstein_ccdf_matches_matrix_form(pareto):
     # [DERIVED] closed-form Bernstein sum vs uniformized matrix exponential
     # of the assembled (alpha, A) of the hybrid with no tail: same
     # distribution, two evaluators.
-    hy = hybrid.build_hybrid(lambda x: targets_mod.ccdf(pareto, x), 0, 40,
-                             [])
+    hy = hybrid.build_hybrid(
+        [], [], targets_mod.ccdf_array(pareto, bph.grid_points(40)))
     xs = np.linspace(0.0, 6.0, 30)
     closed = hybrid.hybrid_ccdf(hy, xs)
     matrix = phmodel.ccdf(hy.assembled, xs)
@@ -96,7 +96,8 @@ def test_approximation_improves_with_order():
     exact = 1.0 / (1.0 + xs)
     errs = []
     for n in (10, 40, 160):
-        hy = hybrid.build_hybrid(Fbar, 0, n, [])
+        hy = hybrid.build_hybrid([], [],
+                                 [Fbar(x) for x in bph.grid_points(n)])
         errs.append(np.max(np.abs(hybrid.hybrid_ccdf(hy, xs) - exact)))
     assert errs[0] > errs[1] > errs[2]
 

@@ -26,14 +26,19 @@ STORED_HYBRID = str(Path(__file__).resolve().parents[1] / "perfbench"
                     / "data" / "pareto31_hybrid_k4_n100.json")
 
 # Model files the commands must refuse: unreadable, failing
-# phmodel.validate, or defective (alpha sums below 1).
+# phmodel.validate, defective (alpha sums below 1), or with phases that
+# never reach absorption (every row of A sums to 0).
 BAD_MODELS = {
     "invalid": '{"alpha": [1.0], "A": [[1.0]]}',
     "defective": '{"alpha": [0.5], "A": [[-1.0]]}',
     "nan": '{"alpha": [1.0], "A": [[NaN]]}',
     "infinite": '{"alpha": [1.0], "A": [[-Infinity]]}',
     "malformed": '{"alpha": [1.0]',
+    "no-exit": '{"alpha": [1, 0], "A": [[-1, 1], [1, -1]]}',
 }
+# A valid model whose stored source target is not: eval refuses it.
+BAD_TARGET_MODEL = ('{"alpha": [1.0], "A": [[-1.0]], "meta": {"source_target":'
+                    ' {"kind": "pareto", "params": {"shape": -1}}}}')
 
 SIM = ["--jobs", "2000", "--warmup", "100", "--replications", "2"]
 PARETO = ["--target", "pareto", "--shape", "3.1"]
@@ -48,7 +53,7 @@ def _strict_json(path):
 
 def _model_files(root):
     models = {"good": STORED_HYBRID}
-    for name, text in BAD_MODELS.items():
+    for name, text in {**BAD_MODELS, "bad-target": BAD_TARGET_MODEL}.items():
         path = root / f"{name}.json"
         path.write_text(text)
         models[name] = str(path)
@@ -88,6 +93,10 @@ CASES = {
     "eval-infinite-model": (["eval", "--model", "{infinite}"], 2),
     "simulate-malformed-model": (["simulate", "--model", "{malformed}",
                                   *SIM], 2),
+    "queue-no-exit-model": (["queue", "--model", "{no-exit}"], 2),
+    "eval-no-exit-model": (["eval", "--model", "{no-exit}"], 2),
+    "simulate-no-exit-model": (["simulate", "--model", "{no-exit}", *SIM], 2),
+    "eval-bad-source-target": (["eval", "--model", "{bad-target}"], 2),
     "queue-adjust-mean-negative": (["queue", "--model", "{good}",
                                     "--adjust-mean", "-1"], 2),
     "queue-adjust-mean-nan": (["queue", "--model", "{good}",

@@ -11,7 +11,7 @@ import pytest
 
 from heavytail_ph import fitting, phmodel
 from heavytail_ph import targets as targets_mod
-from heavytail_ph.optimizer import AdamConfig, EvalGrid
+from heavytail_ph.optimizer import AdamConfig, EvalGrid, LossEvaluator
 
 
 def test_tail_window_spans_median_to_tail(pareto):
@@ -122,3 +122,29 @@ def test_default_grid_span(pareto):
     custom = fitting.default_grid(pareto, m=64, span=(0.0, 10.0))
     assert custom.points.size == 64
     assert custom.points[-1] == 10.0
+
+
+@pytest.mark.parametrize("name", ["pareto", "burr", "lognormal", "weibull"])
+def test_fit_returns_the_hybrid_the_optimizer_scored(all_targets, name,
+                                                     monkeypatch):
+    # The final build reads the target CCDF at the fit points and the BPH
+    # nodes as the loss does, so the default fit returns, bit for bit, the
+    # hybrid that LossEvaluator builds and scores at the returned points.
+    runs = []
+    optimize = fitting.optimize
+
+    def recorded(*args, **kwargs):
+        runs.append((args, kwargs, optimize(*args, **kwargs)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(fitting, "optimize", recorded)
+    out = fitting.fit_bph_he(all_targets[name])
+    (args, kwargs, (points, _)), = runs
+    target, n, tgrid, weights = args[:4]
+    ev = LossEvaluator(target, n, tgrid, weights, **kwargs)
+    ev(points)
+    assert ev.last_build_ok
+    scored = ev._last[1]
+    assert np.array_equal(out.hybrid.bph.weights, scored.bph.weights)
+    assert np.array_equal(out.hybrid.he.p, scored.he.p)
+    assert np.array_equal(out.hybrid.he.lam, scored.he.lam)

@@ -24,21 +24,32 @@ def mixture_ccdf(p, lam):
     return lambda x: float(np.exp(-np.asarray(lam) * x) @ np.asarray(p))
 
 
+def at(Fbar, points):
+    """(points, Fbar at each point): the arguments of a fit."""
+    return points, [Fbar(x) for x in points]
+
+
 # -- point canonicalization ------------------------------------------------
 
 def test_points_sorted_descending():
-    pts = hefit.canonical_points([1.0, 4.0, 2.0], 3)
+    pts, fx = hefit.canonical_points([1.0, 4.0, 2.0], [0.5, 0.1, 0.3])
     assert list(pts) == [4.0, 2.0, 1.0]
+    assert list(fx) == [0.1, 0.3, 0.5]
 
 
 def test_duplicate_points_rejected():
     with pytest.raises(ValueError):
-        hefit.canonical_points([1.0, 1.0, 2.0], 3)
+        hefit.canonical_points([1.0, 1.0, 2.0], [0.5, 0.5, 0.3])
+
+
+def test_value_count_must_match_points():
+    with pytest.raises(ValueError):
+        hefit.canonical_points([1.0, 2.0], [0.5])
 
 
 def test_nonpositive_points_rejected():
     with pytest.raises(ValueError):
-        hefit.canonical_points([0.0, 1.0, 2.0], 3)
+        hefit.canonical_points([0.0, 1.0, 2.0], [1.0, 0.5, 0.3])
 
 
 # -- complete fit ----------------------------------------------------------
@@ -46,24 +57,24 @@ def test_nonpositive_points_rejected():
 def test_recovers_known_mixture_complete():
     # [DERIVED] fitting points on an exact 2-term mixture CCDF recovers it.
     p_true, lam_true = [0.3, 0.7], [0.2, 2.0]
-    he = hefit.fit_complete(mixture_ccdf(p_true, lam_true),
-                            [8.0, 5.0, 1.0])
+    he = hefit.fit_complete(*at(mixture_ccdf(p_true, lam_true),
+                                [8.0, 5.0, 1.0]))
     order = np.argsort(he.lam)
     assert he.lam[order] == pytest.approx(lam_true, rel=1e-9)
     assert he.p[order] == pytest.approx(p_true, rel=1e-9)
     assert not he.defective
-    assert he.total_weight == pytest.approx(1.0, abs=1e-12)
+    assert he.p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_term_complete():
-    he = hefit.fit_complete(lambda x: math.exp(-0.5 * x), [2.0])
+    he = hefit.fit_complete([2.0], [math.exp(-0.5 * 2.0)])
     assert he.p == pytest.approx([1.0])
     assert he.lam == pytest.approx([0.5], rel=1e-12)
 
 
 def test_complete_needs_odd_count():
     with pytest.raises(ValueError):
-        hefit.fit_complete(lambda x: math.exp(-x), [1.0, 2.0])
+        hefit.fit_complete(*at(lambda x: math.exp(-x), [1.0, 2.0]))
 
 
 def test_interpolation_exact_at_points(pareto):
@@ -71,7 +82,7 @@ def test_interpolation_exact_at_points(pareto):
     # at every fit point (after refinement, to rounding).
     Fbar = lambda x: targets_mod.ccdf(pareto, x)
     pts = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-    he = hefit.fit_complete(Fbar, pts)
+    he = hefit.fit_complete(pts, targets_mod.ccdf_array(pareto, pts))
     for x in pts:
         assert hefit.he_ccdf(he, x) == pytest.approx(Fbar(x), rel=1e-10)
 
@@ -81,27 +92,27 @@ def test_interpolation_exact_at_points(pareto):
 def test_recovers_known_mixture_defective():
     # [DERIVED] defective fit of a sub-probability mixture recovers it.
     p_true, lam_true = [0.2, 0.4], [0.1, 1.5]
-    he = hefit.fit_defective(mixture_ccdf(p_true, lam_true),
-                             [20.0, 12.0, 2.0, 1.0])
+    he = hefit.fit_defective(*at(mixture_ccdf(p_true, lam_true),
+                                 [20.0, 12.0, 2.0, 1.0]))
     order = np.argsort(he.lam)
     assert he.lam[order] == pytest.approx(lam_true, rel=1e-8)
     assert he.p[order] == pytest.approx(p_true, rel=1e-8)
     assert he.defective
-    assert he.total_weight < 1.0
+    assert he.p.sum() < 1.0
 
 
 def test_defective_needs_even_count():
     with pytest.raises(ValueError):
-        hefit.fit_defective(lambda x: math.exp(-x), [1.0, 2.0, 3.0])
+        hefit.fit_defective(*at(lambda x: math.exp(-x), [1.0, 2.0, 3.0]))
 
 
 def test_defective_interpolates(lognormal):
     Fbar = lambda x: targets_mod.ccdf(lognormal, x)
     pts = [5.0, 9.0, 20.0, 45.0, 110.0, 300.0]
-    he = hefit.fit_defective(Fbar, pts)
+    he = hefit.fit_defective(pts, targets_mod.ccdf_array(lognormal, pts))
     for x in pts:
         assert hefit.he_ccdf(he, x) == pytest.approx(Fbar(x), rel=1e-10)
-    assert he.total_weight < 1.0
+    assert he.p.sum() < 1.0
 
 
 def test_bad_points_raise_invalid_model():
@@ -109,7 +120,7 @@ def test_bad_points_raise_invalid_model():
     # force a negative residual or out-of-range weight.
     Fbar = lambda x: math.exp(-x * x)
     with pytest.raises(InvalidModelError):
-        hefit.fit_defective(Fbar, [0.5, 1.0, 3.0, 6.0])
+        hefit.fit_defective(*at(Fbar, [0.5, 1.0, 3.0, 6.0]))
 
 
 def test_raw_fit_reports_nans_instead_of_raising():
@@ -131,7 +142,7 @@ def test_geometric_points_interpolate_pareto(scale, spread):
     dist = targets_mod.TargetDistribution(kind="pareto", params={"shape": 3.1})
     Fbar = lambda x: targets_mod.ccdf(dist, x)
     pts = scale * spread ** np.arange(6)
-    he = hefit.fit_defective(Fbar, pts)
+    he = hefit.fit_defective(pts, targets_mod.ccdf_array(dist, pts))
     for x in pts:
         assert hefit.he_ccdf(he, x) == pytest.approx(Fbar(x), rel=1e-10)
 
@@ -211,7 +222,7 @@ def assert_matches_oracle(Fbar, pts, complete):
     except InvalidModelError:
         return None
     fit = hefit.fit_complete if complete else hefit.fit_defective
-    he = fit(Fbar, pts)
+    he = fit(*at(Fbar, pts))
     assert he.p == pytest.approx(p_gs, rel=1e-10)
     assert he.lam == pytest.approx(lam_gs, rel=1e-10)
     for x in pts:

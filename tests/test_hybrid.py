@@ -20,13 +20,19 @@ from heavytail_ph.hefit import HyperExp
 from heavytail_ph.optimizer import AdamConfig, pow2_points
 
 
+def build(Fbar, n, points, meta=None):
+    """The hybrid through Fbar at the points and the n BPH nodes."""
+    return hybrid.build_hybrid(points, [Fbar(x) for x in points],
+                               [Fbar(x) for x in bph.grid_points(n)], meta)
+
+
 @pytest.fixture(scope="module")
 def pareto_hybrid():
     dist = targets_mod.TargetDistribution(kind="pareto", params={"shape": 3.1})
     Fbar = lambda x: targets_mod.ccdf(dist, x)
     # A known-buildable point layout (from an optimized Pareto run).
     points = [8.67, 13.09, 24.5, 45.3, 94.1, 213.8, 591.2, 1375.1]
-    return dist, Fbar, hybrid.build_hybrid(Fbar, 4, 100, points)
+    return dist, Fbar, build(Fbar, 100, points)
 
 
 def test_block_generator_structure(pareto_hybrid):
@@ -72,7 +78,7 @@ def test_ccdf_at_zero_is_one(pareto_hybrid):
 
 def test_k_zero_degenerates_to_bph(pareto_hybrid):
     dist, Fbar, _ = pareto_hybrid
-    hy = hybrid.build_hybrid(Fbar, 0, 50, [])
+    hy = build(Fbar, 50, [])
     assert hy.he.k == 0
     comp = bph.build_from_ccdf([Fbar(x) for x in bph.grid_points(50)])
     assert hy.bph.weights == pytest.approx(comp.weights, abs=1e-15)
@@ -89,7 +95,7 @@ def test_overshooting_tail_rejected():
     Fbar = lambda x: targets_mod.ccdf(dist, x)
     # Points deep in the body: the exponential chords overshoot between them.
     with pytest.raises((InvalidModelError, ValueError)):
-        hybrid.build_hybrid(Fbar, 2, 100, [0.05, 0.1, 0.2, 0.4])
+        build(Fbar, 100, [0.05, 0.1, 0.2, 0.4])
 
 
 def test_residual_ccdf_clamps_small_dips():
@@ -97,7 +103,7 @@ def test_residual_ccdf_clamps_small_dips():
     # Fbar slightly below the HE tail at one point: within tolerance.
     Fbar = lambda x: 0.5 * np.exp(-x) - 1e-8 if np.isfinite(x) else 0.0
     with pytest.warns(UserWarning, match="clamped"):
-        gbar = hybrid.residual_ccdf(Fbar, he, [1.0], [])
+        gbar = hybrid.residual_ccdf(he, [1.0], [Fbar(1.0)], [], [])
     assert gbar[0] == 0.0
 
 
@@ -106,15 +112,17 @@ def test_residual_ccdf_rejects_overshoot_at_a_fit_point():
     # only at a fit point still fails the build.
     he = HyperExp(p=np.array([0.5]), lam=np.array([1.0]), defective=True)
     Fbar = lambda x: 0.5 * math.exp(-x) + (1e-3 if x < 2.0 else -1e-5)
-    assert hybrid.residual_ccdf(Fbar, he, [1.0, 0.0], []) == pytest.approx(
-        [1e-3, 1e-3])
+    nodes = [1.0, 0.0]
+    at_nodes = [Fbar(x) for x in nodes]
+    assert hybrid.residual_ccdf(he, nodes, at_nodes, [],
+                                []) == pytest.approx([1e-3, 1e-3])
     with pytest.raises(InvalidModelError, match="overshoots"):
-        hybrid.residual_ccdf(Fbar, he, [1.0, 0.0], [3.0])
+        hybrid.residual_ccdf(he, nodes, at_nodes, [3.0], [Fbar(3.0)])
 
 
 def reference_build(Fbar, k, n, points):
     """(BPH weights, HE) of the hybrid built through per-point closures."""
-    he = hefit.fit_defective(Fbar, points)
+    he = hefit.fit_defective(points, [float(Fbar(x)) for x in points])
 
     def gbar(x):
         val = float(Fbar(x)) - hefit.he_ccdf(he, float(x)) \
@@ -149,12 +157,12 @@ def test_array_build_equals_per_point_reference():
             weights, he, worst = reference_build(Fbar, 4, 100, points)
         except InvalidModelError:
             with pytest.raises(InvalidModelError):
-                hybrid.build_hybrid(Fbar, 4, 100, points)
+                build(Fbar, 100, points)
             overshoot += 1
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            hy = hybrid.build_hybrid(Fbar, 4, 100, points)
+            hy = build(Fbar, 100, points)
         assert np.array_equal(hy.bph.weights, weights)
         assert np.array_equal(hy.he.p, he.p)
         assert np.array_equal(hy.he.lam, he.lam)
@@ -166,7 +174,7 @@ def test_array_build_equals_per_point_reference():
 def test_meta_propagates():
     dist = targets_mod.TargetDistribution(kind="pareto", params={"shape": 3.1})
     Fbar = lambda x: targets_mod.ccdf(dist, x)
-    hy = hybrid.build_hybrid(Fbar, 1, 30, [6.0, 60.0], meta={"tag": "x"})
+    hy = build(Fbar, 30, [6.0, 60.0], meta={"tag": "x"})
     assert hy.assembled.meta["tag"] == "x"
     assert hy.assembled.meta["kind"] == "bph_he"
     assert hy.assembled.meta["order_bph"] == 30

