@@ -1,6 +1,7 @@
 """The hot kernels: the Bernstein+HE mixture CCDF and the Lindley recursion.
 
-Both are plain numpy; BACKEND_NAME names this single implementation.
+Both are plain numpy, as is `as_grid`, the float-or-array argument of the
+distribution functions; BACKEND_NAME names this single implementation.
 """
 
 import math
@@ -9,6 +10,15 @@ from functools import cache
 import numpy as np
 
 BACKEND_NAME = "python"
+
+
+def as_grid(x) -> tuple[np.ndarray, bool]:
+    """x >= 0 as a float array of at least one dimension, and whether x was
+    a scalar (whose result is then a float)."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xs < 0):
+        raise ValueError("x must be nonnegative")
+    return xs, np.ndim(x) == 0
 
 
 @cache

@@ -385,8 +385,8 @@ def cmd_eval(model_path, grid_spec, log_grid, out):
     cols = [xs, m_ccdf, 1.0 - m_ccdf, m_pdf]
     if target is not None:
         header += ["target_ccdf", "target_cdf", "target_pdf"]
-        t_ccdf = targets_mod.ccdf_array(target, xs)
-        t_pdf = np.array([targets_mod.pdf(target, x) for x in xs])
+        t_ccdf = targets_mod.ccdf(target, xs)
+        t_pdf = targets_mod.pdf(target, xs)
         cols += [t_ccdf, 1.0 - t_ccdf, t_pdf]
     rows = [[f"{v:.12g}" for v in row] for row in zip(*cols)]
     run.write_csv("eval.csv", header, rows)

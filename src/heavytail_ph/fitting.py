@@ -107,7 +107,7 @@ def _apply_mean_adjust(model, m_real: float, adjust: bool):
 
 def grid_mae(target, y_hat, grid: EvalGrid) -> float:
     """MAE of the model CCDF values y_hat on the grid against the target."""
-    y = targets_mod.ccdf_array(target, grid.points)
+    y = targets_mod.ccdf(target, grid.points)
     return float(np.mean(np.abs(y - y_hat)))
 
 
@@ -128,9 +128,8 @@ def _hybrid_outcome(target, method, n, s, points, grid, adjust_mean, meta,
     """Build the hybrid at the scaled-time `points` from the target CCDF
     read as `LossEvaluator` reads it (so it is the hybrid the optimizer
     scored), divide its generator by s, adjust the mean and report."""
-    hy = build_hybrid(points, targets_mod.ccdf_array(target, s * points),
-                      targets_mod.ccdf_array(target,
-                                             s * bph_mod.grid_points(n)),
+    hy = build_hybrid(points, targets_mod.ccdf(target, s * points),
+                      targets_mod.ccdf(target, s * bph_mod.grid_points(n)),
                       meta={**meta, "body_scale": s,
                             "source_target": target.to_dict()})
     model = PhaseTypeModel(alpha=hy.assembled.alpha, A=hy.assembled.A / s,
@@ -160,7 +159,7 @@ def fit_he(target, k: int = DEFAULT_K, points=None,
     grid = grid or default_grid(target)
     if points is None:
         points = pow2_points(2 * k - 1, *tail_window(target))
-    he = hefit.fit_complete(points, targets_mod.ccdf_array(target, points))
+    he = hefit.fit_complete(points, targets_mod.ccdf(target, points))
     model = hefit.to_phase_type(he, meta={"source_target": target.to_dict()})
     stats = targets_mod.numeric_stats(target)
     model, ratio = _apply_mean_adjust(model, stats[0], adjust_mean)

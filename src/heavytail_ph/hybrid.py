@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bph as bph_mod
-from ._backend import bernstein_he_ccdf
+from ._backend import as_grid, bernstein_he_ccdf
 from .constants import PROB_NOISE_TOL, RESIDUAL_NEG_TOL
 from .errors import InvalidModelError
 from .hefit import HyperExp, fit_defective, he_ccdf
@@ -96,9 +96,7 @@ def _assemble(component: bph_mod.BphComponent, he: HyperExp,
 
 def hybrid_ccdf(hybrid: HybridModel, x) -> float | np.ndarray:
     """Closed-form CCDF: Bernstein sum over the residual plus the HE terms."""
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0):
-        raise ValueError("x must be nonnegative")
+    xs, scalar = as_grid(x)
     vals = bernstein_he_ccdf(hybrid.bph.node_values, hybrid.he.p,
-                             hybrid.he.lam, np.atleast_1d(xs))
-    return float(vals[0]) if np.ndim(x) == 0 else vals
+                             hybrid.he.lam, xs)
+    return float(vals[0]) if scalar else vals

@@ -36,6 +36,13 @@ log = logging.getLogger(__name__)
 _RAW_CCDF_CLIP = 1e6
 _FD_STEP = 1e-4
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults),
+# and the least loss decrease that resets the patience count.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
+_MIN_IMPROVEMENT = 1e-9
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -54,19 +61,12 @@ class LossWeights:
 @dataclass(frozen=True)
 class AdamConfig:
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     max_iters: int = 500
     patience: int = 50
-    min_improvement: float = 1e-9
 
     def __post_init__(self):
-        if min(self.learning_rate, self.epsilon, self.max_iters,
-               self.patience) <= 0:
+        if min(self.learning_rate, self.max_iters, self.patience) <= 0:
             raise ValueError("Adam parameters must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class LossEvaluator:
     product plus the HE terms.
 
     The loss works in scaled time t = x / scale: the target it fits is
-    F-bar(scale * t), read by one `targets.ccdf_array` call on the grid,
+    F-bar(scale * t), read by one `targets.ccdf` call on the grid,
     one on the BPH nodes and one per candidate at its 2k fit points, which
     the HE solve, the residual check and the penalties all use. After a
     buildable candidate, `gradient` gives the exact gradient of its loss
@@ -127,9 +127,9 @@ class LossEvaluator:
         self.scale = scale
         self.grid = grid
         self.weights = weights
-        self.y = targets_mod.ccdf_array(target, scale * grid.points)
+        self.y = targets_mod.ccdf(target, scale * grid.points)
         self._nodes = grid_points(n)
-        self._y_nodes = targets_mod.ccdf_array(target, scale * self._nodes)
+        self._y_nodes = targets_mod.ccdf(target, scale * self._nodes)
         self._basis = bernstein_basis(n, grid.points)
         # Whether the most recent __call__ produced a buildable hybrid.
         self.last_build_ok = False
@@ -140,7 +140,7 @@ class LossEvaluator:
     def __call__(self, points) -> LossBreakdown:
         w = self.weights
         points = np.asarray(points, dtype=float)
-        fx = targets_mod.ccdf_array(self.target, self.scale * points)
+        fx = targets_mod.ccdf(self.target, self.scale * points)
         try:
             hy = build_hybrid(points, fx, self._y_nodes)
         except (InvalidModelError, ValueError):
@@ -173,8 +173,7 @@ class LossEvaluator:
         points, hy, y_hat, expo = self._last
         p, lam = hy.he.p, hy.he.lam
         x, fx, jac = hy.he.tail_fit  # x in descending order
-        dens = self.scale * np.array(
-            [targets_mod.pdf(self.target, self.scale * t) for t in x])
+        dens = self.scale * targets_mod.pdf(self.target, self.scale * x)
         dr_dx = (dens - np.exp(-np.multiply.outer(x, lam)) @ (lam * p)) / fx
 
         he_nodes = _he_terms_jacobian(
@@ -300,17 +299,17 @@ def optimize(target, n: int, grid: EvalGrid, weights: LossWeights,
         if grad is None:
             grad = _central_differences(evaluator, u)
 
-        m = adam.beta1 * m + (1.0 - adam.beta1) * grad
-        v = adam.beta2 * v + (1.0 - adam.beta2) * grad * grad
-        m_hat = m / (1.0 - adam.beta1 ** t)
-        v_hat = v / (1.0 - adam.beta2 ** t)
-        u = u - adam.learning_rate * m_hat / (np.sqrt(v_hat) + adam.epsilon)
+        m = _BETA1 * m + (1.0 - _BETA1) * grad
+        v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
+        m_hat = m / (1.0 - _BETA1 ** t)
+        v_hat = v / (1.0 - _BETA2 ** t)
+        u = u - adam.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
 
         cur = evaluator(np.exp(u))
         trace.append(cur)
         if evaluator.last_build_ok and cur.total < best_valid_loss:
             best_valid_loss, best_valid_points = cur.total, np.exp(u)
-        if cur.total < best_loss - adam.min_improvement:
+        if cur.total < best_loss - _MIN_IMPROVEMENT:
             best_loss, best_points = cur.total, np.exp(u)
             stall = 0
         else:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._backend import as_grid
 from .constants import (CCDF_UNDERFLOW, PROB_NOISE_TOL, PROPER_SUM_TOL,
                         UNIFORMIZATION_TAIL)
 
@@ -132,11 +133,13 @@ def _require_valid(model: PhaseTypeModel) -> None:
 # -- evaluation -----------------------------------------------------------
 
 def expm_action(v0: np.ndarray, M: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Rows v0 * e^{x M} for each x in ascending `xs`, by uniformization.
+    """Rows v0 * e^{x M} for each x in `xs`, in the order given, by
+    uniformization.
 
     M must be a sub-generator (or any matrix with nonpositive row sums and
-    negative diagonal). Walks the sorted grid incrementally so the total
-    series length is proportional to q * max(xs) rather than q * sum(xs).
+    negative diagonal). Walks the grid in ascending order incrementally, so
+    the total series length is proportional to q * max(xs) rather than
+    q * sum(xs).
     """
     n = M.shape[0]
     q = float(np.max(-np.diag(M)))
@@ -144,13 +147,13 @@ def expm_action(v0: np.ndarray, M: np.ndarray, xs: np.ndarray) -> np.ndarray:
     out = np.empty((xs.size, n))
     v = np.array(v0, dtype=float)
     prev = 0.0
-    for idx, x in enumerate(xs):
-        dx = x - prev
+    for idx in np.argsort(xs, kind="stable"):
+        dx = xs[idx] - prev
         while dx > 0.0:
             step = min(dx, _MAX_POISSON_STEP / q)
             v = _uniformization_step(v, P, q * step)
             dx -= step
-        prev = x
+        prev = xs[idx]
         out[idx] = v
     return out
 
@@ -175,8 +178,9 @@ def _uniformization_step(v: np.ndarray, P: np.ndarray, qdx: float) -> np.ndarray
 
 def ccdf(model: PhaseTypeModel, x) -> float | np.ndarray:
     """F-bar(x) = alpha e^{xA} 1, with an underflow guard at 1e-300."""
-    xs, scalar = _as_grid(x)
-    rows = _eval_rows(model, xs)
+    xs, scalar = as_grid(x)
+    _require_valid(model)
+    rows = expm_action(model.alpha, model.A, xs)
     vals = rows.sum(axis=1)
     vals[vals < CCDF_UNDERFLOW] = 0.0
     return float(vals[0]) if scalar else vals
@@ -184,26 +188,11 @@ def ccdf(model: PhaseTypeModel, x) -> float | np.ndarray:
 
 def pdf(model: PhaseTypeModel, x) -> float | np.ndarray:
     """f(x) = alpha e^{xA} (-A 1)."""
-    xs, scalar = _as_grid(x)
-    rows = _eval_rows(model, xs)
+    xs, scalar = as_grid(x)
+    _require_valid(model)
+    rows = expm_action(model.alpha, model.A, xs)
     vals = np.maximum(rows @ model.exit_rates, 0.0)
     return float(vals[0]) if scalar else vals
-
-
-def _as_grid(x):
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs < 0):
-        raise ValueError("x must be nonnegative")
-    return xs, np.isscalar(x) or np.ndim(x) == 0
-
-
-def _eval_rows(model: PhaseTypeModel, xs: np.ndarray) -> np.ndarray:
-    _require_valid(model)
-    order = np.argsort(xs, kind="stable")
-    rows_sorted = expm_action(model.alpha, model.A, xs[order])
-    rows = np.empty_like(rows_sorted)
-    rows[order] = rows_sorted
-    return rows
 
 
 # -- moments and scaling --------------------------------------------------

@@ -10,12 +10,12 @@ are cross-checked against the simulation oracle in the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import phmodel
+from ._backend import as_grid
 from .errors import UnstableQueueError
 from .phmodel import PhaseTypeModel
 
@@ -70,16 +70,11 @@ def _waiting_time_generator(lam: float, service: PhaseTypeModel):
 
 def waiting_time_ccdf(lam: float, service: PhaseTypeModel, x) -> float | np.ndarray:
     """P(W > x) in the stationary M/PH/1 queue; equals rho at x = 0."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs < 0):
-        raise ValueError("x must be nonnegative")
+    xs, scalar = as_grid(x)
     rho, beta, M = _waiting_time_generator(lam, service)
-    order = np.argsort(xs, kind="stable")
-    rows = np.empty((xs.size, service.order))
-    rows[order] = phmodel.expm_action(rho * beta, M, xs[order])
-    vals = rows.sum(axis=1)
+    vals = phmodel.expm_action(rho * beta, M, xs).sum(axis=1)
     vals[vals < 0] = 0.0
-    return float(vals[0]) if np.ndim(x) == 0 else vals
+    return float(vals[0]) if scalar else vals
 
 
 def waiting_time_mean(lam: float, service: PhaseTypeModel) -> float:
@@ -89,29 +84,22 @@ def waiting_time_mean(lam: float, service: PhaseTypeModel) -> float:
 
 
 def _qbd_solution(lam: float, service: PhaseTypeModel):
-    """Stationary vectors of the M/PH/1 QBD: (pi0, pi1, R)."""
+    """Stationary vectors of the M/PH/1 QBD: (pi0, pi1, R).
+
+    R solves lam I + R (A - lam I) + R^2 s a = 0. Every service completion
+    restarts the phase from a, so the first passage one level down is
+    G = 1 a and R = lam (lam I - A - lam 1 a)^{-1} in closed form; the
+    levels are then pi_n = (1 - rho) a R^n (Neuts 1981).
+    """
     m1 = phmodel.moment(service, 1)
     rho = lam * m1
     if rho >= 1:
         raise UnstableQueueError(rho)
     n = service.order
-    A = service.A
     a = service.alpha / service.alpha.sum()
-    s = -A @ np.ones(n)
-    A1 = A - lam * np.eye(n)
-    A2 = np.outer(s, a)
-
-    # R solves lam I + R A1 + R^2 A2 = 0. Every service completion restarts
-    # the phase from a, so the first passage one level down is G = 1 a and
-    # R = lam (-A1 - lam G)^{-1} in closed form (Neuts 1981).
-    R = lam * np.linalg.inv(lam * np.eye(n) - A
+    R = lam * np.linalg.inv(lam * np.eye(n) - service.A
                             - lam * np.outer(np.ones(n), a))
-
-    # Balance at level 1: pi0 * lam * a + pi1 (A1 + R A2) = 0, pi0 scalar.
-    pi1 = -lam * np.linalg.solve((A1 + R @ A2).T, a)
-    inv_ir = np.linalg.inv(np.eye(n) - R)
-    norm = 1.0 + float(pi1 @ inv_ir @ np.ones(n))
-    return 1.0 / norm, pi1 / norm, R
+    return 1.0 - rho, (1.0 - rho) * (a @ R), R
 
 
 def queue_length_dist(lam: float, service: PhaseTypeModel,

@@ -74,15 +74,10 @@ def run_mg1(config: SimConfig, service_draw) -> SimResult:
     if wait_grid.size == 0:
         wait_grid = np.linspace(0.0, 10.0 / config.lam, 101)
 
-    indices = range(config.replications)
-    if config.replications > 1 and _max_workers() > 1:
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            reps = list(pool.map(
-                lambda r: _one_replication(config, service_draw, r, wait_grid),
-                indices))
-    else:
-        reps = [_one_replication(config, service_draw, r, wait_grid)
-                for r in indices]
+    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+        reps = list(pool.map(
+            lambda r: _one_replication(config, service_draw, r, wait_grid),
+            range(config.replications)))
 
     metrics = {}
     names = ("E_W", "E_T", "E_N", "E_Nq", "rho")
@@ -148,14 +143,7 @@ def _one_replication(config: SimConfig, service_draw, index: int,
 def draw_target(dist: targets_mod.TargetDistribution, rng: np.random.Generator,
                 count: int) -> np.ndarray:
     """Inverse-transform draws from a target distribution."""
-    u = rng.random(count)
-    kind, p = dist.kind, dist.params
-    if kind == "pareto":
-        return u ** (-1.0 / p["shape"]) - 1.0
-    if kind == "weibull":
-        return p["scale"] * (-np.log(u)) ** (1.0 / p["shape"])
-    # Generic: bisection + Newton polish per draw (slow but exact).
-    return np.array([targets_mod.ccdf_inverse(dist, ui) for ui in u])
+    return targets_mod.ccdf_inverse(dist, rng.random(count))
 
 
 def target_service(dist: targets_mod.TargetDistribution):

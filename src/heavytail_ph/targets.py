@@ -8,9 +8,12 @@ moments; the window, finite by construction, makes "the mean of the
 target" a well-defined quantity that fitted models can be compared against.
 The quadrature compares 20- and 40-point Gauss-Legendre rules on unit-width
 segments of log x, halving those that differ by more than MOMENT_REL_TOL of
-the whole integral (see numeric_moment); it reads the CCDF through
-ccdf_array, while the scalar ccdf serves the per-draw bisection of
-ccdf_inverse.
+the whole integral (see numeric_moment).
+
+ccdf, pdf and ccdf_inverse take a float, returning a float, or an array,
+returning an array. Pareto, Weibull and Burr invert in closed form, so
+their draws are one array expression; Lognormal and tabulated targets
+invert by bisection, one draw at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from functools import cache
 
 import numpy as np
 
+from ._backend import as_grid
 from .constants import MOMENT_ABS_TOL, MOMENT_REL_TOL
 from .errors import NonConvergenceError
 
@@ -133,117 +137,139 @@ class TargetDistribution:
         return cls(kind="tabulated", window=tuple(window), table=(xs, cc))
 
 
-# -- pointwise evaluation -------------------------------------------------
+# -- evaluation -----------------------------------------------------------
 
-def ccdf(dist: TargetDistribution, x: float) -> float:
-    """Complementary CDF of the target at x >= 0."""
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    kind, p = dist.kind, dist.params
-    if kind == "pareto":
-        return (1.0 + x) ** -p["shape"]
-    if kind == "burr":
-        c, d = p["c"], p["d"]
-        x = float(x)  # a numpy float64 power overflows to inf, not raising
-        try:
-            return (1.0 + x ** c) ** -d
-        except OverflowError:  # x ** c beyond the largest float
-            return math.exp(-d * c * math.log(x))
-    if kind == "weibull":
-        return math.exp(-((x / p["scale"]) ** p["shape"]))
-    if kind == "lognormal":
-        if x == 0.0:
+_ROOT2 = math.sqrt(2.0)
+_ROOT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def ccdf(dist: TargetDistribution, x):
+    """Complementary CDF of the target at x >= 0 (ValueError below): a
+    float for a float x, an array of x's shape for an array.
+
+    Lognormal evaluates by `math` (numpy has no erfc), value by value for
+    an array; every other kind through numpy, a float as an array of one
+    value. Each value of an array call equals the float call.
+    """
+    p = dist.params
+    if dist.kind == "lognormal":
+        if not isinstance(x, float):
+            return _each(ccdf, dist, x)
+        if x == 0.0:  # math.log raises ValueError for x < 0
             return 1.0
-        z = (math.log(x) - p["mu"]) / p["sigma"]
-        return 0.5 * math.erfc(z / math.sqrt(2.0))
-    return _tabulated_ccdf(dist, x)
-
-
-def pdf(dist: TargetDistribution, x: float) -> float:
-    """Density of the target at x >= 0 (tabulated: central difference)."""
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    kind, p = dist.kind, dist.params
-    if kind == "pareto":
-        a = p["shape"]
-        return a * (1.0 + x) ** -(a + 1.0)
-    if kind == "burr":
-        c, d = p["c"], p["d"]
-        if x == 0.0:
-            return math.inf if c < 1 else (float(d) if c == 1 else 0.0)
-        x = float(x)  # as in ccdf
-        try:
-            return c * d * x ** (c - 1.0) / (1.0 + x ** c) ** (d + 1.0)
-        except OverflowError:  # x ** c or its power beyond the largest float
-            return c * d * math.exp(-(c * d + 1.0) * math.log(x))
-    if kind == "weibull":
-        scale, shape = p["scale"], p["shape"]
-        if x == 0.0:
-            return math.inf if shape < 1 else (1.0 / scale if shape == 1 else 0.0)
-        t = (x / scale) ** shape
-        return shape / x * t * math.exp(-t)
-    if kind == "lognormal":
-        if x == 0.0:
-            return 0.0
-        z = (math.log(x) - p["mu"]) / p["sigma"]
-        return math.exp(-0.5 * z * z) / (x * p["sigma"] * math.sqrt(2.0 * math.pi))
-    # Tabulated: differentiate the interpolated CDF.
-    h = max(1e-6 * x, 1e-9)
-    lo = max(x - h, 0.0)
-    return max((ccdf(dist, lo) - ccdf(dist, x + h)) / (x + h - lo), 0.0)
-
-
-def _tabulated_ccdf(dist: TargetDistribution, x: float) -> float:
-    xs, cc = dist.table
-    if x < xs[0]:
-        # Flat before the first point; exactly 1 at the origin.
-        return 1.0 if x == 0.0 else float(cc[0])
-    if x > xs[-1]:
-        return float(_table_tail(dist, x))
-    # Interior: linear interpolation of log(ccdf) in x.
-    return float(np.exp(np.interp(x, xs, np.log(cc))))
-
-
-def _table_tail(dist: TargetDistribution, x):
-    """The CCDF past a table's last row, at a float or an array of x: the
-    power law through the last two rows."""
-    xs, cc = dist.table
-    slope = (math.log(cc[-1]) - math.log(cc[-2])) / \
-            (math.log(xs[-1]) - math.log(xs[-2]))
-    return cc[-1] * (x / xs[-1]) ** slope
-
-
-def ccdf_array(dist: TargetDistribution, xs) -> np.ndarray:
-    """ccdf elementwise on an array of x >= 0, by the same closed forms."""
-    x = np.asarray(xs, dtype=float)
-    kind, p = dist.kind, dist.params
-    if kind == "pareto":
-        return (1.0 + x) ** -p["shape"]
-    if kind == "burr":
+        return 0.5 * math.erfc((math.log(x) - p["mu"]) / p["sigma"] / _ROOT2)
+    xs, scalar = as_grid(x)
+    if dist.kind == "pareto":
+        out = (1.0 + xs) ** -p["shape"]
+    elif dist.kind == "burr":
         c, d = p["c"], p["d"]
         with np.errstate(over="ignore"):
-            xc = x ** c
+            xc = xs ** c
         out = (1.0 + xc) ** -d
-        big = np.isinf(xc)  # where the scalar's x ** c overflows
-        out[big] = np.exp(-d * c * np.log(x[big]))
-        return out
-    if kind == "weibull":
-        return np.exp(-((x / p["scale"]) ** p["shape"]))
-    if kind == "lognormal":
-        # math.log and math.erfc: the scalar ccdf's rounding, value by value.
-        mu, sigma, root2 = p["mu"], p["sigma"], math.sqrt(2.0)
-        vals = [0.5 * math.erfc((math.log(v) - mu) / sigma / root2)
-                if v else 1.0 for v in x.ravel().tolist()]
-        return np.array(vals).reshape(x.shape)
+        big = np.isinf(xc)  # x ** c beyond the largest float: the log form
+        out[big] = np.exp(-d * c * np.log(xs[big]))
+    elif dist.kind == "weibull":
+        out = np.exp(-((xs / p["scale"]) ** p["shape"]))
+    else:
+        out = _tabulated_ccdf(dist, xs)
+    return float(out[0]) if scalar else out
+
+
+def pdf(dist: TargetDistribution, x):
+    """Density of the target at x >= 0, a float or an array as for ccdf
+    (tabulated: a central difference of the interpolated CCDF)."""
+    p = dist.params
+    if dist.kind == "lognormal":
+        if not isinstance(x, float):
+            return _each(pdf, dist, x)
+        if x == 0.0:  # math.log raises ValueError for x < 0
+            return 0.0
+        z = (math.log(x) - p["mu"]) / p["sigma"]
+        return math.exp(-0.5 * z * z) / (x * p["sigma"] * _ROOT_2PI)
+    xs, scalar = as_grid(x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if dist.kind == "pareto":
+            a = p["shape"]
+            out = a * (1.0 + xs) ** -(a + 1.0)
+        elif dist.kind == "burr":
+            c, d = p["c"], p["d"]
+            den = (1.0 + xs ** c) ** (d + 1.0)
+            out = c * d * xs ** (c - 1.0) / den
+            big = np.isinf(den)  # a power beyond the largest float
+            out[big] = c * d * np.exp(-(c * d + 1.0) * np.log(xs[big]))
+            out[xs == 0.0] = math.inf if c < 1 else (d if c == 1 else 0.0)
+        elif dist.kind == "weibull":
+            scale, shape = p["scale"], p["shape"]
+            t = (xs / scale) ** shape
+            out = shape / xs * t * np.exp(-t)
+            out[xs == 0.0] = (math.inf if shape < 1
+                              else (1.0 / scale if shape == 1 else 0.0))
+        else:
+            h = np.maximum(1e-6 * xs, 1e-9)
+            lo = np.maximum(xs - h, 0.0)
+            out = np.maximum((ccdf(dist, lo) - ccdf(dist, xs + h))
+                             / (xs + h - lo), 0.0)
+    return float(out[0]) if scalar else out
+
+
+def _each(fn, dist: TargetDistribution, x):
+    """fn(dist, v) at each value v of x, as a float for a 0-d x."""
+    xs = np.asarray(x, dtype=float)
+    out = np.array([fn(dist, v) for v in xs.ravel().tolist()])
+    return out.reshape(xs.shape) if xs.ndim else float(out[0])
+
+
+def _tabulated_ccdf(dist: TargetDistribution, x: np.ndarray) -> np.ndarray:
+    """Linear interpolation of log(ccdf) in x between the rows, flat before
+    the first (and 1 at the origin), and past the last the power law
+    through the last two rows."""
     tx, cc = dist.table
-    out = np.exp(np.interp(x, tx, np.log(cc)))  # flat below tx[0]
+    out = np.exp(np.interp(x, tx, np.log(cc)))
+    out[x < tx[0]] = cc[0]
     out[x == 0.0] = 1.0
     tail = x > tx[-1]
-    out[tail] = _table_tail(dist, x[tail])
+    slope = (math.log(cc[-1]) - math.log(cc[-2])) / \
+            (math.log(tx[-1]) - math.log(tx[-2]))
+    # Value by value: numpy's vector power can differ from the C library's
+    # pow in the last bit, and the float calls of the bisection use pow.
+    out[tail] = [cc[-1] * (v / tx[-1]) ** slope for v in x[tail].tolist()]
     return out
 
 
-def ccdf_inverse(dist: TargetDistribution, u: float) -> float:
+def ccdf_inverse(dist: TargetDistribution, u):
+    """x with ccdf(x) = u, for a float u in (0, 1) or an array of them, as
+    for ccdf.
+
+    Pareto, Weibull and Burr invert in closed form; Lognormal and tabulated
+    targets by bisection, value by value. NonConvergenceError is raised
+    when an x lies beyond the largest float.
+    """
+    if dist.kind in ("lognormal", "tabulated"):
+        return _each(_bisect, dist, u)
+    us = np.atleast_1d(np.asarray(u, dtype=float))
+    if not np.all((us > 0.0) & (us < 1.0)):
+        raise ValueError(f"u must be in (0, 1), got {u}")
+    p = dist.params
+    t = -np.log(us)
+    with np.errstate(over="ignore"):
+        if dist.kind == "pareto":
+            x = np.expm1(t / p["shape"])
+        elif dist.kind == "weibull":
+            x = p["scale"] * t ** (1.0 / p["shape"])
+        else:
+            c, t = p["c"], t / p["d"]
+            x = np.expm1(t) ** (1.0 / c)
+            # Where e^t overflows, e^-t is below rounding: x = e^(t/c).
+            big = np.isinf(x)
+            x[big] = np.exp(t[big] / c)
+    if not np.all(np.isfinite(x)):
+        raise NonConvergenceError(
+            f"ccdf stays above u={us[~np.isfinite(x)][0]} up to the largest "
+            "float")
+    return float(x[0]) if np.ndim(u) == 0 else x
+
+
+def _bisect(dist: TargetDistribution, u: float) -> float:
     """Solve ccdf(x) = u for x, by bracketing bisection with Newton polish.
 
     Requires a continuous, strictly decreasing CCDF on the relevant range.
@@ -346,7 +372,7 @@ def numeric_moment(dist: TargetDistribution, order: int, window=None) -> float:
         with np.errstate(over="ignore"):
             # x * (x * F), not x^2 * F: x^2 overflows past 1.3e154, which
             # makes NaN where F has underflowed to 0; x * F stays finite.
-            f = x * ccdf_array(dist, x)
+            f = x * ccdf(dist, x)
             if order == 2:
                 f *= x
             i20 = half * (f[:, :w20.size] @ w20)

@@ -20,6 +20,13 @@ difference and its reason:
 
     PYTHONPATH=src python tests/golden_fits.py
     PYTHONPATH=src python tests/golden_fits.py --write
+
+For the `bph_he` fits the tolerance is in effect a bit-exactness check on
+`fitting.body_scale`, whose last bits the optimizer's path follows. Scaling
+it by 1 + 2.9e-16 moved burr/bph_he by 2.0e-7 relative, and by 1 + 1e-14
+moved lognormal/bph_he by 1.2e-6, weibull/bph_he by 2.7e-3 and
+pareto/bph_he by 1.1e-2; so a change in how a target inverts its CCDF can
+move a `bph_he` fit past the tolerance.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ def golden_fit(name: str, method: str) -> dict:
     target = targets.TargetDistribution(kind=kind, params=params)
     outcome = fitting.FIT_METHODS[method](target)
     model, report = outcome.model, outcome.report
-    xs = np.array([targets.ccdf_inverse(target, q) for q in CCDF_LEVELS])
+    xs = targets.ccdf_inverse(target, np.array(CCDF_LEVELS))
     return {"mae": report.mae, "mean": report.mean_approx,
             "cv": report.cv_approx, "he_points": list(report.he_points),
             "order": model.order,

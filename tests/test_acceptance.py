@@ -127,15 +127,15 @@ def test_criterion_5_structural_invariants(pareto):
     # HE interpolation exactness at the fit points.
     Fbar = lambda x: targets_mod.ccdf(pareto, x)
     pts = pow2_points(7, *fitting.tail_window(pareto))
-    he = hefit.fit_complete(pts, targets_mod.ccdf_array(pareto, pts))
+    he = hefit.fit_complete(pts, targets_mod.ccdf(pareto, pts))
     he_err = max(abs(hefit.he_ccdf(he, x) - Fbar(x)) / Fbar(x) for x in pts)
     checks["he interpolation"] = (he_err, 1e-10)
 
     # Hybrid closed-form vs matrix-form CCDF.
     points = [8.67, 13.09, 24.5, 45.3, 94.1, 213.8, 591.2, 1375.1]
     hy = hybrid.build_hybrid(
-        points, targets_mod.ccdf_array(pareto, points),
-        targets_mod.ccdf_array(pareto, bph.grid_points(100)))
+        points, targets_mod.ccdf(pareto, points),
+        targets_mod.ccdf(pareto, bph.grid_points(100)))
     xs = np.linspace(0.0, 50.0, 200)
     checks["hybrid closed/matrix"] = (
         float(np.max(np.abs(hybrid.hybrid_ccdf(hy, xs)

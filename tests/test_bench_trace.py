@@ -36,8 +36,8 @@ def test_traced_fit_run_is_correct_and_fires_every_boundary():
 
 def test_traced_validate_run_fires_every_boundary():
     """The traced validate run reaches every simulation and queue boundary,
-    among them `phmodel.sample_with_rng` and the per-draw `draw_target`
-    bisection through `targets.ccdf_inverse` and `targets.ccdf`; a draw
+    among them `phmodel.sample_with_rng` and `draw_target`, whose Lognormal
+    draws bisect through `targets.ccdf_inverse` and `targets.ccdf`; a draw
     path that calls around one of them fails the run as "never fired".
     `correct` is not asserted: the tiny size simulates 2 replications, and
     their mean checks miss on correct code at some seeds (at seed 0 the

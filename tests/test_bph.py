@@ -72,7 +72,7 @@ def test_bernstein_ccdf_matches_matrix_form(pareto):
     # of the assembled (alpha, A) of the hybrid with no tail: same
     # distribution, two evaluators.
     hy = hybrid.build_hybrid(
-        [], [], targets_mod.ccdf_array(pareto, bph.grid_points(40)))
+        [], [], targets_mod.ccdf(pareto, bph.grid_points(40)))
     xs = np.linspace(0.0, 6.0, 30)
     closed = hybrid.hybrid_ccdf(hy, xs)
     matrix = phmodel.ccdf(hy.assembled, xs)

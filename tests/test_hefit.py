@@ -82,7 +82,7 @@ def test_interpolation_exact_at_points(pareto):
     # at every fit point (after refinement, to rounding).
     Fbar = lambda x: targets_mod.ccdf(pareto, x)
     pts = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-    he = hefit.fit_complete(pts, targets_mod.ccdf_array(pareto, pts))
+    he = hefit.fit_complete(pts, targets_mod.ccdf(pareto, pts))
     for x in pts:
         assert hefit.he_ccdf(he, x) == pytest.approx(Fbar(x), rel=1e-10)
 
@@ -109,7 +109,7 @@ def test_defective_needs_even_count():
 def test_defective_interpolates(lognormal):
     Fbar = lambda x: targets_mod.ccdf(lognormal, x)
     pts = [5.0, 9.0, 20.0, 45.0, 110.0, 300.0]
-    he = hefit.fit_defective(pts, targets_mod.ccdf_array(lognormal, pts))
+    he = hefit.fit_defective(pts, targets_mod.ccdf(lognormal, pts))
     for x in pts:
         assert hefit.he_ccdf(he, x) == pytest.approx(Fbar(x), rel=1e-10)
     assert he.p.sum() < 1.0
@@ -142,7 +142,7 @@ def test_geometric_points_interpolate_pareto(scale, spread):
     dist = targets_mod.TargetDistribution(kind="pareto", params={"shape": 3.1})
     Fbar = lambda x: targets_mod.ccdf(dist, x)
     pts = scale * spread ** np.arange(6)
-    he = hefit.fit_defective(pts, targets_mod.ccdf_array(dist, pts))
+    he = hefit.fit_defective(pts, targets_mod.ccdf(dist, pts))
     for x in pts:
         assert hefit.he_ccdf(he, x) == pytest.approx(Fbar(x), rel=1e-10)
 
@@ -296,7 +296,7 @@ def test_he_ccdf_vectorized():
 
 @given(seed=st.integers(0, 10_000), k=st.integers(0, 12))
 @settings(max_examples=40, deadline=None)
-def test_he_ccdf_array_equals_scalar_exactly(seed, k):
+def test_he_ccdf_of_an_array_equals_scalar_exactly(seed, k):
     # The array path must give the scalar result at every point, bit for
     # bit: hybrid builds evaluate the tail on arrays and must equal the
     # per-point reference. k >= 8 covers numpy's unrolled pairwise sum.

@@ -115,14 +115,15 @@ def test_weibull_sampler_moments(weibull):
     assert draws.mean() == pytest.approx(5 * math.gamma(6.0), rel=0.2)
 
 
-def test_generic_sampler_inverts_ccdf(burr):
-    # The generic path uses per-draw numeric inversion; spot-check the
-    # empirical CCDF against the analytic one.
-    rng = np.random.default_rng(17)
-    draws = simqueue.draw_target(burr, rng, 4_000)
-    for x in (0.5, 1.0, 3.0):
-        emp = float((draws > x).mean())
-        assert emp == pytest.approx(targets_mod.ccdf(burr, x), abs=0.03)
+def test_generic_sampler_inverts_ccdf(burr, lognormal):
+    # Burr draws invert the CCDF in closed form, Lognormal draws by
+    # bisection; spot-check the empirical CCDF against the analytic one.
+    for dist in (burr, lognormal):
+        rng = np.random.default_rng(17)
+        draws = simqueue.draw_target(dist, rng, 4_000)
+        for x in (0.5, 1.0, 3.0):
+            emp = float((draws > x).mean())
+            assert emp == pytest.approx(targets_mod.ccdf(dist, x), abs=0.03)
 
 
 def test_model_service_sampler():

@@ -128,6 +128,69 @@ def test_ccdf_inverse_roundtrip(all_targets):
             assert targets.ccdf(dist, x) == pytest.approx(level, rel=1e-8)
 
 
+_CLOSED_FORM_TARGETS = [
+    TargetDistribution(kind="pareto", params={"shape": 3.1}),
+    TargetDistribution(kind="pareto", params={"shape": 0.4}),
+    TargetDistribution(kind="burr", params={"c": 2.0, "d": 1.0}),
+    TargetDistribution(kind="burr", params={"c": 0.5, "d": 1.0}),
+    TargetDistribution(kind="burr", params={"c": 2.0, "d": 0.05}),
+    TargetDistribution(kind="weibull", params={"scale": 5.0, "shape": 0.2}),
+    TargetDistribution(kind="weibull", params={"scale": 0.3, "shape": 3.0}),
+]
+
+
+@pytest.mark.parametrize("dist", _CLOSED_FORM_TARGETS, ids=lambda d: "-".join(
+    [d.kind, *map(str, d.params.values())]))
+def test_closed_form_inverse_matches_bisection(dist):
+    # [ORACLE] the bisection with Newton polish, which still inverts
+    # Lognormal and tabulated targets. An array of u gives the float
+    # results, value by value.
+    us = np.geomspace(1e-12, 0.5, 60)
+    xs = targets.ccdf_inverse(dist, us)
+    ref = [targets._bisect(dist, u) for u in us.tolist()]
+    np.testing.assert_allclose(xs, ref, rtol=1e-10, atol=0.0)
+    assert xs.tolist() == [targets.ccdf_inverse(dist, u) for u in us.tolist()]
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("weibull", {"scale": 5.0, "shape": 0.2}),
+    ("burr", {"c": 0.5, "d": 1.0}),
+], ids=["weibull-5-0.2", "burr-0.5-1"])
+def test_inverse_near_one_is_exact(kind, params):
+    # [DERIVED] x is about 5e-60 for this Weibull and 1e-24 for this Burr.
+    # The bisection, which stops at an absolute width of 1e-13 below
+    # x = 1, gives 2.8e-14 for the Weibull, whose CCDF there is 0.9986.
+    dist = TargetDistribution(kind=kind, params=params)
+    u = 1.0 - 1e-12
+    x = targets.ccdf_inverse(dist, u)
+    assert abs(targets.ccdf(dist, x) - u) <= 1e-15
+
+
+def test_burr_inverse_past_the_exponential_overflow():
+    # [DERIVED] Burr(2, 0.01) at u = 1e-4: x = (u^-100 - 1)^(1/2), about
+    # 1e200, though u^-100 = 1e400 overflows a float.
+    dist = TargetDistribution(kind="burr", params={"c": 2.0, "d": 0.01})
+    x = targets.ccdf_inverse(dist, 1e-4)
+    assert x == pytest.approx(1e200, rel=1e-12)
+    assert targets.ccdf(dist, x) == pytest.approx(1e-4, rel=1e-12)
+
+
+def test_inverse_beyond_the_largest_float_raises():
+    # [DERIVED] Pareto(1e-3) at u = 1e-10 lies at x = e^23026, past 1.8e308.
+    dist = TargetDistribution(kind="pareto", params={"shape": 1e-3})
+    with pytest.raises(NonConvergenceError):
+        targets.ccdf_inverse(dist, 1e-10)
+    with pytest.raises(NonConvergenceError):
+        targets.ccdf_inverse(dist, np.array([0.5, 1e-10]))
+
+
+def test_inverse_rejects_u_outside_the_unit_interval(all_targets):
+    for dist in all_targets.values():
+        for u in (0.0, 1.0, -0.5, math.nan, np.array([0.5, 1.0])):
+            with pytest.raises(ValueError):
+                targets.ccdf_inverse(dist, u)
+
+
 # -- numeric moments -------------------------------------------------------
 
 def test_pareto_windowed_mean(pareto):
@@ -348,15 +411,22 @@ def test_tabulated_moments_are_exact(table, windows):
                               rel=1e-12)
 
 
-def test_ccdf_array_matches_scalar(all_targets):
+def test_array_calls_equal_float_calls(all_targets):
+    # Each value of an array ccdf or pdf call equals the float call, bit for
+    # bit, for every kind, and the result keeps the array's shape.
     tabulated = TargetDistribution(kind="tabulated", params={},
                                    table=_COARSE_TABLE)
     rng = np.random.default_rng(0)
-    xs = np.concatenate([[0.0], np.exp(rng.uniform(-12.0, 10.0, 500))])
+    xs = np.concatenate([[0.0], np.exp(rng.uniform(-12.0, 10.0, 500)),
+                         [1e160, 1e300]])
     for dist in [*all_targets.values(), tabulated]:
-        expect = [targets.ccdf(dist, x) for x in xs]
-        np.testing.assert_allclose(targets.ccdf_array(dist, xs), expect,
-                                   rtol=1e-15, atol=0.0)
+        for fn in (targets.ccdf, targets.pdf):
+            vals = fn(dist, xs)
+            floats = [fn(dist, x) for x in xs.tolist()]
+            assert all(type(v) is float for v in floats)
+            assert np.array_equal(vals, floats)
+            assert np.array_equal(fn(dist, xs[:500].reshape(50, 10)),
+                                  vals[:500].reshape(50, 10))
 
 
 @pytest.mark.filterwarnings("error")
@@ -371,7 +441,7 @@ def test_burr_past_the_power_overflow():
     for x in xs:
         assert targets.ccdf(dist, np.float64(x)) == targets.ccdf(dist, x)
         assert targets.pdf(dist, np.float64(x)) == targets.pdf(dist, x)
-    np.testing.assert_allclose(targets.ccdf_array(dist, np.array(xs)),
+    np.testing.assert_allclose(targets.ccdf(dist, np.array(xs)),
                                scalar, rtol=1e-14, atol=0.0)
     assert np.all(scalar > 0.0)
     assert np.all(np.diff(scalar) < 0.0)
