@@ -13,12 +13,13 @@ import json
 import math
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import click
 import numpy as np
 
-from . import __version__, fitting, phmodel, queueing, simqueue
+from . import __version__, bph, fitting, phmodel, queueing, simqueue
 from . import targets as targets_mod
 from .errors import (InvalidModelError, NonConvergenceError,
                      UnstableQueueError)
@@ -206,19 +207,23 @@ def _resolve_target(target_kind, target_json, target_csv, window, **values):
 _FIT_OPTIONS = [
     click.option("--k", type=int, default=fitting.DEFAULT_K, show_default=True,
                  help="Number of exponential tail terms."),
-    click.option("--bph-order", "n", type=click.IntRange(1), default=100,
-                 show_default=True, help="Order of the Bernstein-PH body."),
+    click.option("--bph-order", "n", type=click.IntRange(1),
+                 default=bph.DEFAULT_ORDER, show_default=True,
+                 help="Order of the Bernstein-PH body."),
     click.option("--grid-size", type=int, default=fitting.DEFAULT_GRID_SIZE,
                  show_default=True, help="Evaluation-grid size."),
     click.option("--grid-window", default=None,
                  help="Evaluation-grid span 'x0,x1' (default derived)."),
     click.option("--tail-window", default=None,
                  help="HE fit-point span 'x0,x1' (default derived)."),
-    click.option("--weights", default="0.8,0.1,0.1", show_default=True,
+    click.option("--weights", show_default=True,
+                 default=",".join(map(str, astuple(LossWeights()))),
                  help="Loss weights 'w_mae,w_lambda,w_p'."),
-    click.option("--lr", type=_POSITIVE, default=0.01, show_default=True,
+    click.option("--lr", type=_POSITIVE, show_default=True,
+                 default=AdamConfig().learning_rate,
                  callback=_finite_option),
-    click.option("--max-iters", type=int, default=500, show_default=True),
+    click.option("--max-iters", type=int, default=AdamConfig().max_iters,
+                 show_default=True),
     click.option("--seed", type=int, default=0, show_default=True),
     click.option("--no-optimize", is_flag=True,
                  help="Use the default fit points verbatim."),

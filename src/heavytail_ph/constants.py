@@ -1,7 +1,7 @@
-"""Shared numerical tolerance constants.
-
-All tolerances used for model validation and evaluation live here so that
-the whole pipeline agrees on what "zero" means.
+"""Shared numerical tolerance constants: what "zero" means for model
+validation and evaluation. A tolerance that belongs to one check stays
+beside it (e.g. the 1e-9 row sums of `phmodel.validate`, the 1e-12 rates
+of `phmodel.bernstein_structure` and `hefit._INTERP_TOL`).
 """
 
 # Probability vectors: entries may carry this much negative noise before

@@ -16,7 +16,7 @@ import numpy as np
 from . import bph as bph_mod
 from . import hefit, phmodel
 from . import targets as targets_mod
-from .hybrid import HybridModel, build_hybrid, hybrid_ccdf
+from .hybrid import HybridModel, assemble, build_hybrid, hybrid_ccdf
 from .optimizer import (AdamConfig, EvalGrid, LossBreakdown, LossWeights,
                         optimize, pow2_points)
 from .phmodel import PhaseTypeModel
@@ -127,13 +127,14 @@ def _hybrid_outcome(target, method, n, s, points, grid, adjust_mean, meta,
                     trace=()) -> FitOutcome:
     """Build the hybrid at the scaled-time `points` from the target CCDF
     read as `LossEvaluator` reads it (so it is the hybrid the optimizer
-    scored), divide its generator by s, adjust the mean and report."""
+    scored), assemble it with its generator divided by s, adjust the mean
+    and report. `meta` holds the method's own keys."""
     hy = build_hybrid(points, targets_mod.ccdf(target, s * points),
-                      targets_mod.ccdf(target, s * bph_mod.grid_points(n)),
-                      meta={**meta, "body_scale": s,
-                            "source_target": target.to_dict()})
-    model = PhaseTypeModel(alpha=hy.assembled.alpha, A=hy.assembled.A / s,
-                           meta=dict(hy.assembled.meta))
+                      targets_mod.ccdf(target, s * bph_mod.grid_points(n)))
+    model = assemble(hy.weights, hy.he, s,
+                     {"kind": method, "order_bph": n, "terms_he": hy.he.k,
+                      **meta, "body_scale": s,
+                      "source_target": target.to_dict()})
     stats = targets_mod.numeric_stats(target)
     model, ratio = _apply_mean_adjust(model, stats[0], adjust_mean)
     report = _report(target, stats, method, model,
@@ -150,7 +151,7 @@ def fit_bph(target, n: int = bph_mod.DEFAULT_ORDER,
     grid = grid or default_grid(target)
     s = body_scale(target, n)
     return _hybrid_outcome(target, "bph", n, s, np.empty(0), grid,
-                           adjust_mean, meta={"kind": "bph"})
+                           adjust_mean, meta={})
 
 
 def fit_he(target, k: int = DEFAULT_K, points=None,
@@ -160,7 +161,9 @@ def fit_he(target, k: int = DEFAULT_K, points=None,
     if points is None:
         points = pow2_points(2 * k - 1, *tail_window(target))
     he = hefit.fit_complete(points, targets_mod.ccdf(target, points))
-    model = hefit.to_phase_type(he, meta={"source_target": target.to_dict()})
+    model = assemble(np.empty(0), he, 1.0,
+                     {"kind": "he", "terms_he": he.k,
+                      "source_target": target.to_dict()})
     stats = targets_mod.numeric_stats(target)
     model, ratio = _apply_mean_adjust(model, stats[0], adjust_mean)
     report = _report(target, stats, "he", model,
@@ -188,8 +191,8 @@ def fit_bph_he(target, k: int = DEFAULT_K, n: int = bph_mod.DEFAULT_ORDER,
         hi = float(grid.points[-1])
         init_points = pow2_points(2 * k, lo, hi)
     # The optimizer and hybrid construction work in scaled time t = x / s,
-    # where the fixed body generator is effective; the assembled generator
-    # is divided by s afterwards to return to target time.
+    # where the fixed body generator is effective; `assemble` divides the
+    # generator by s to return to target time.
     points = np.asarray(init_points, dtype=float) / s
     tgrid = EvalGrid(points=grid.points / s)
     trace: list[LossBreakdown] = []

@@ -15,7 +15,8 @@ conditions sum_i p_i exp(-lam_i x_j) = Fbar(x_j) (the recursive-fit
 conditions of Feldmann & Whitt, Perf. Eval. 31, 1998) then makes the
 mixture pass through the target at every point. A defective fit keeps the
 record of that solve (`TailFit`), from which the fit-point optimizer takes
-its gradient.
+its gradient. `hybrid.assemble` lays a mixture out as a phase-type model:
+a complete fit alone, a defective one under a Bernstein body.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ class HyperExp:
     """Mixture of exponentials: CCDF(x) = sum_i p[i] * exp(-lam[i] * x).
 
     `tail_fit` holds the interpolation solve of `fit_defective`; it is None
-    for the complete fit and for mixtures built by hand.
+    for the complete fit (whose weights sum to 1), for the empty tail of a
+    BPH-only hybrid and for mixtures built by hand.
     """
 
     p: np.ndarray
     lam: np.ndarray
-    defective: bool = False
     tail_fit: TailFit | None = None
 
     def __post_init__(self):
@@ -204,7 +205,7 @@ def fit_complete(points, fx) -> HyperExp:
     if pts.size % 2 == 0:
         raise ValueError("complete fit needs an odd number of points (2k-1)")
     p, lam, _ = _fit(np.append(pts, 0.0), np.append(fx, 1.0))
-    return HyperExp(p=p, lam=lam, defective=False)
+    return HyperExp(p=p, lam=lam)
 
 
 def fit_defective(points, fx) -> HyperExp:
@@ -221,8 +222,7 @@ def fit_defective(points, fx) -> HyperExp:
     if total >= 1.0:
         raise InvalidModelError(
             f"defective fit weights sum to {total:.6f} >= 1", stage=p.size)
-    return HyperExp(p=p, lam=lam, defective=True,
-                    tail_fit=TailFit(pts, fx, jac))
+    return HyperExp(p=p, lam=lam, tail_fit=TailFit(pts, fx, jac))
 
 
 def he_ccdf(he: HyperExp, x) -> float | np.ndarray:
@@ -238,12 +238,3 @@ def he_ccdf(he: HyperExp, x) -> float | np.ndarray:
     vals = (np.exp(-np.multiply.outer(xs, he.lam)) * he.p).sum(axis=-1)
     return float(vals) if xs.ndim == 0 else vals
 
-
-def to_phase_type(he: HyperExp, meta=None):
-    """Proper HE as a diagonal-generator phase-type model."""
-    from .phmodel import PhaseTypeModel
-    if he.defective:
-        raise ValueError("defective HE components are serialized only inside "
-                         "hybrid models")
-    return PhaseTypeModel(alpha=he.p, A=np.diag(-he.lam),
-                          meta={"kind": "he", "terms_he": he.k, **(meta or {})})

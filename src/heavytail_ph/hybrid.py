@@ -2,7 +2,8 @@
 
 The defective HE mixture pins the tail at the fit points; whatever CCDF
 mass it leaves over (the residual) is approximated by a Bernstein-PH body.
-The assembled model is an order n+k phase-type distribution whose
+`assemble` lays out every fitted model, the hybrid and its one-block
+cases (BPH-only, HE-only), as an order n+k phase-type distribution whose
 generator is block diagonal: the fixed BPH bidiagonal block and the HE
 diagonal block, with no transitions between the two.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -25,21 +25,19 @@ from .phmodel import PhaseTypeModel
 
 @dataclass(frozen=True)
 class HybridModel:
-    """A BPH body and a defective HE tail; `meta` goes to the assembled
-    model.
+    """Body weights at the n BPH nodes and a defective HE tail.
 
-    The dense order n+k (alpha, A) is assembled on first use of
-    `assembled`: a fit's optimizer scores each candidate through the
-    closed-form CCDF, so only the final model needs the matrix.
+    A fit's optimizer scores each candidate through the closed-form CCDF
+    (`hybrid_ccdf`); only the final model is laid out by `assemble`.
     """
 
-    bph: bph_mod.BphComponent
+    weights: np.ndarray
     he: HyperExp
-    meta: dict | None = None
 
-    @cached_property
-    def assembled(self) -> PhaseTypeModel:
-        return _assemble(self.bph, self.he, self.meta)
+    @property
+    def node_values(self) -> np.ndarray:
+        """Residual values at log(n/i), i = 1..n (cumulative weights)."""
+        return np.cumsum(self.weights)
 
 
 def residual_ccdf(he: HyperExp, nodes, at_nodes, points,
@@ -63,7 +61,7 @@ def residual_ccdf(he: HyperExp, nodes, at_nodes, points,
     return np.maximum(vals[:len(nodes)], 0.0)
 
 
-def build_hybrid(points, at_points, at_nodes, meta=None) -> HybridModel:
+def build_hybrid(points, at_points, at_nodes) -> HybridModel:
     """Fit the defective HE through the target CCDF values at_points at the
     2k `points`, then the BPH body to the residual at the n nodes
     `bph.grid_points(n)`, where the target's values are at_nodes.
@@ -74,29 +72,31 @@ def build_hybrid(points, at_points, at_nodes, meta=None) -> HybridModel:
     if len(points):
         he = fit_defective(points, at_points)
     else:
-        he = HyperExp(p=np.empty(0), lam=np.empty(0), defective=True)
+        he = HyperExp(p=np.empty(0), lam=np.empty(0))
     node_vals = residual_ccdf(he, bph_mod.grid_points(len(at_nodes)),
                               at_nodes, points, at_points)
-    return HybridModel(bph=bph_mod.build_from_ccdf(node_vals), he=he,
-                       meta=meta)
+    return HybridModel(weights=bph_mod.build_from_ccdf(node_vals), he=he)
 
 
-def _assemble(component: bph_mod.BphComponent, he: HyperExp,
-              meta=None) -> PhaseTypeModel:
-    n, k = component.order, he.k
-    alpha = np.concatenate([component.weights, he.p])
+def assemble(weights, he: HyperExp, scale: float,
+             meta: dict) -> PhaseTypeModel:
+    """The phase-type model of the n body weights and the k HE terms:
+    alpha is the weights then the HE weights; A is bph.generator(n) (when
+    n > 0) then diag(-lam) (when k > 0), all divided by `scale`, which
+    takes a model fitted in scaled time t = x / scale back to x."""
+    n, k = len(weights), he.k
     A = np.zeros((n + k, n + k))
-    A[:n, :n] = bph_mod.generator(n)
+    if n:
+        A[:n, :n] = bph_mod.generator(n)
     if k:
         A[n:, n:] = np.diag(-he.lam)
-    return PhaseTypeModel(alpha=alpha, A=A,
-                          meta={"kind": "bph_he", "order_bph": n, "terms_he": k,
-                                **(meta or {})})
+    return PhaseTypeModel(alpha=np.concatenate([weights, he.p]),
+                          A=A / scale, meta=meta)
 
 
 def hybrid_ccdf(hybrid: HybridModel, x) -> float | np.ndarray:
     """Closed-form CCDF: Bernstein sum over the residual plus the HE terms."""
     xs, scalar = as_grid(x)
-    vals = bernstein_he_ccdf(hybrid.bph.node_values, hybrid.he.p,
+    vals = bernstein_he_ccdf(hybrid.node_values, hybrid.he.p,
                              hybrid.he.lam, xs)
     return float(vals[0]) if scalar else vals

@@ -131,11 +131,14 @@ class LossEvaluator:
         self._nodes = grid_points(n)
         self._y_nodes = targets_mod.ccdf(target, scale * self._nodes)
         self._basis = bernstein_basis(n, grid.points)
-        # Whether the most recent __call__ produced a buildable hybrid.
-        self.last_build_ok = False
         # (points, hybrid, grid CCDF, grid exponentials) of the most recent
         # call, if buildable.
         self._last = None
+
+    @property
+    def last_build_ok(self) -> bool:
+        """Whether the most recent call produced a buildable hybrid."""
+        return self._last is not None
 
     def __call__(self, points) -> LossBreakdown:
         w = self.weights
@@ -144,12 +147,10 @@ class LossEvaluator:
         try:
             hy = build_hybrid(points, fx, self._y_nodes)
         except (InvalidModelError, ValueError):
-            self.last_build_ok = False
             self._last = None
             return self._raw_loss(points, fx)
-        self.last_build_ok = True
         expo = np.exp(-np.outer(self.grid.points, hy.he.lam))
-        y_hat = basis_he_ccdf(self._basis, hy.bph.node_values, hy.he.p, expo)
+        y_hat = basis_he_ccdf(self._basis, hy.node_values, hy.he.p, expo)
         self._last = (points, hy, y_hat, expo)
         mae = float(np.mean(np.abs(self.y - y_hat)))
         # A successful build implies valid p and lambda: zero penalties.
@@ -181,7 +182,7 @@ class LossEvaluator:
         res = self._y_nodes - he_nodes[:, :p.size].sum(axis=1)
         d_clamped = np.where((res > 0.0)[:, None], -he_nodes, 0.0)
         d_weights = np.diff(d_clamped, axis=0, prepend=0.0)
-        d_weights[hy.bph.weights <= 0.0] = 0.0
+        d_weights[hy.weights <= 0.0] = 0.0
         d_nodes = np.cumsum(d_weights, axis=0)
 
         g = (self.weights.w_mae / y_hat.size) * np.sign(y_hat - self.y)

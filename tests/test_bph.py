@@ -18,7 +18,7 @@ from heavytail_ph import targets as targets_mod
 from conftest import cdf_increments
 
 
-def ccdf_component(Fbar, n):
+def ccdf_weights(Fbar, n):
     # build_from_ccdf takes the values at the nodes.
     return bph.build_from_ccdf([Fbar(x) for x in bph.grid_points(n)])
 
@@ -43,28 +43,42 @@ def test_generator_structure():
 def test_weights_are_cdf_increments(pareto):
     n = 20
     F = lambda x: 1.0 - targets_mod.ccdf(pareto, x)
-    comp = ccdf_component(lambda x: targets_mod.ccdf(pareto, x), n)
+    weights = ccdf_weights(lambda x: targets_mod.ccdf(pareto, x), n)
     pts = bph.grid_points(n)
     # [DERIVED] first weight is F(inf) - F(log n); the rest are increments.
-    assert comp.weights[0] == pytest.approx(1.0 - F(pts[0]), rel=1e-12)
-    assert comp.weights[5] == pytest.approx(F(pts[4]) - F(pts[5]), rel=1e-10)
-    assert comp.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert weights[0] == pytest.approx(1.0 - F(pts[0]), rel=1e-12)
+    assert weights[5] == pytest.approx(F(pts[4]) - F(pts[5]), rel=1e-10)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cdf_and_ccdf_builders_agree(pareto):
     F = lambda x: 1.0 - targets_mod.ccdf(pareto, x)
     Fbar = lambda x: targets_mod.ccdf(pareto, x)
     a = cdf_increments(F, 50)
-    b = ccdf_component(Fbar, 50)
-    assert a == pytest.approx(b.weights, abs=1e-15)
+    b = ccdf_weights(Fbar, 50)
+    assert a == pytest.approx(b, abs=1e-15)
 
 
 def test_non_monotone_input_rejected():
     with pytest.raises(ValueError, match="not monotone"):
-        ccdf_component(lambda x: math.sin(10.0 * x), 30)
+        ccdf_weights(lambda x: math.sin(10.0 * x), 30)
     # Node values run from x = log n down to 0, so a CCDF's must not fall.
     with pytest.raises(ValueError, match="not monotone"):
         bph.build_from_ccdf([0.2, 0.5, 0.4])
+
+
+def test_empty_input_rejected():
+    # Order 0 has no body: refused here rather than laid out as a 0 x 0
+    # model that fails later.
+    with pytest.raises(ValueError, match="order"):
+        bph.build_from_ccdf([])
+
+
+def test_weights_are_read_only():
+    weights = bph.build_from_ccdf([0.1, 0.4, 1.0])
+    assert weights == pytest.approx([0.1, 0.3, 0.6])
+    with pytest.raises(ValueError):
+        weights[0] = 0.5
 
 
 def test_bernstein_ccdf_matches_matrix_form(pareto):
@@ -75,7 +89,7 @@ def test_bernstein_ccdf_matches_matrix_form(pareto):
         [], [], targets_mod.ccdf(pareto, bph.grid_points(40)))
     xs = np.linspace(0.0, 6.0, 30)
     closed = hybrid.hybrid_ccdf(hy, xs)
-    matrix = phmodel.ccdf(hy.assembled, xs)
+    matrix = phmodel.ccdf(hybrid.assemble(hy.weights, hy.he, 1.0, {}), xs)
     assert closed == pytest.approx(matrix, abs=1e-12)
 
 
@@ -84,9 +98,9 @@ def test_exponential_exact_at_nodes():
     # e^{-x} exactly in the limit; at finite n the node values fed in are
     # exact, so the cumulative weights must equal e^{-node}.
     n = 25
-    comp = ccdf_component(lambda x: math.exp(-x), n)
-    assert comp.node_values == pytest.approx(np.exp(-bph.grid_points(n)),
-                                             rel=1e-12)
+    weights = ccdf_weights(lambda x: math.exp(-x), n)
+    assert np.cumsum(weights) == pytest.approx(np.exp(-bph.grid_points(n)),
+                                               rel=1e-12)
 
 
 def test_approximation_improves_with_order():

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from heavytail_ph import cli, phmodel
+from heavytail_ph import bph, cli, fitting, phmodel
+from heavytail_ph.optimizer import AdamConfig, LossWeights
 
 
 @pytest.fixture()
@@ -342,6 +343,17 @@ def test_simulate_small_run(runner, tmp_path):
     assert (tmp_path / "sim_queue_length.csv").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["seed"] == 0
+
+
+def test_fit_defaults_are_the_library_defaults():
+    defaults = {p.name: p.default for p in cli.main.commands["fit"].params}
+    assert defaults["k"] == fitting.DEFAULT_K
+    assert defaults["n"] == bph.DEFAULT_ORDER
+    assert defaults["grid_size"] == fitting.DEFAULT_GRID_SIZE
+    assert defaults["lr"] == AdamConfig().learning_rate
+    assert defaults["max_iters"] == AdamConfig().max_iters
+    weights = [float(w) for w in defaults["weights"].split(",")]
+    assert LossWeights(*weights) == LossWeights()
 
 
 def test_version_flag(runner):

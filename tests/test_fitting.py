@@ -106,6 +106,26 @@ def test_fit_bph_he_cv_close(pareto):
     assert rep.cv_approx == pytest.approx(rep.cv_real, rel=0.05)
 
 
+@pytest.mark.parametrize("method, kwargs, keys", [
+    ("bph", {"n": 20}, ["kind", "order_bph", "terms_he", "body_scale",
+                        "source_target"]),
+    ("he", {"k": 2}, ["kind", "terms_he", "source_target"]),
+    ("bph_he", {"k": 1, "n": 20, "run_optimizer": False},
+     ["kind", "order_bph", "terms_he", "he_points", "k", "n", "body_scale",
+      "source_target"]),
+], ids=["bph", "he", "bph_he"])
+def test_model_meta_keys(pareto, method, kwargs, keys):
+    # `hybrid.assemble` writes meta as given: each method fixes its keys
+    # and their order, which the saved model's bytes follow.
+    meta = fitting.FIT_METHODS[method](pareto, **kwargs).model.meta
+    assert list(meta) == keys
+    assert meta["kind"] == method
+    assert meta["terms_he"] == kwargs.get("k", 0)
+    assert meta["source_target"] == pareto.to_dict()
+    if "order_bph" in meta:
+        assert meta["order_bph"] == 20
+
+
 def test_adjust_mean_can_be_disabled(pareto):
     out = fitting.fit_bph(pareto, n=60, adjust_mean=False)
     # Without adjustment the BPH mean carries the body's approximation
@@ -145,6 +165,6 @@ def test_fit_returns_the_hybrid_the_optimizer_scored(all_targets, name,
     ev(points)
     assert ev.last_build_ok
     scored = ev._last[1]
-    assert np.array_equal(out.hybrid.bph.weights, scored.bph.weights)
+    assert np.array_equal(out.hybrid.weights, scored.weights)
     assert np.array_equal(out.hybrid.he.p, scored.he.p)
     assert np.array_equal(out.hybrid.he.lam, scored.he.lam)

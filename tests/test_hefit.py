@@ -62,7 +62,7 @@ def test_recovers_known_mixture_complete():
     order = np.argsort(he.lam)
     assert he.lam[order] == pytest.approx(lam_true, rel=1e-9)
     assert he.p[order] == pytest.approx(p_true, rel=1e-9)
-    assert not he.defective
+    assert he.tail_fit is None
     assert he.p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -97,7 +97,7 @@ def test_recovers_known_mixture_defective():
     order = np.argsort(he.lam)
     assert he.lam[order] == pytest.approx(lam_true, rel=1e-8)
     assert he.p[order] == pytest.approx(p_true, rel=1e-8)
-    assert he.defective
+    assert he.tail_fit is not None
     assert he.p.sum() < 1.0
 
 
@@ -310,18 +310,3 @@ def test_he_ccdf_of_an_array_equals_scalar_exactly(seed, k):
         assert vals[j] == hefit.he_ccdf(he, float(xs[j]))
     assert np.array_equal(hefit.he_ccdf(he, xs[1:].reshape(20, 10)),
                           vals[1:].reshape(20, 10))
-
-
-def test_to_phase_type_matches_mixture():
-    from heavytail_ph import phmodel
-    he = HyperExp(p=np.array([0.25, 0.75]), lam=np.array([0.3, 3.0]))
-    model = hefit.to_phase_type(he)
-    xs = np.linspace(0.0, 10.0, 20)
-    assert phmodel.ccdf(model, xs) == pytest.approx(hefit.he_ccdf(he, xs),
-                                                    abs=1e-12)
-
-
-def test_defective_mixture_not_serializable_alone():
-    he = HyperExp(p=np.array([0.5]), lam=np.array([1.0]), defective=True)
-    with pytest.raises(ValueError):
-        hefit.to_phase_type(he)

@@ -20,10 +20,15 @@ from heavytail_ph.hefit import HyperExp
 from heavytail_ph.optimizer import AdamConfig, pow2_points
 
 
-def build(Fbar, n, points, meta=None):
+def build(Fbar, n, points):
     """The hybrid through Fbar at the points and the n BPH nodes."""
     return hybrid.build_hybrid(points, [Fbar(x) for x in points],
-                               [Fbar(x) for x in bph.grid_points(n)], meta)
+                               [Fbar(x) for x in bph.grid_points(n)])
+
+
+def assembled(hy):
+    """The hybrid laid out as a phase-type model in its own time."""
+    return hybrid.assemble(hy.weights, hy.he, 1.0, {})
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +42,8 @@ def pareto_hybrid():
 
 def test_block_generator_structure(pareto_hybrid):
     _, _, hy = pareto_hybrid
-    n, k = hy.bph.order, hy.he.k
-    A = hy.assembled.A
+    n, k = hy.weights.size, hy.he.k
+    A = assembled(hy).A
     assert A.shape == (n + k, n + k)
     assert np.array_equal(A[:n, :n], bph.generator(n))
     assert np.array_equal(A[n:, n:], np.diag(-hy.he.lam))
@@ -48,10 +53,10 @@ def test_block_generator_structure(pareto_hybrid):
 
 def test_alpha_is_weights_then_tail(pareto_hybrid):
     _, _, hy = pareto_hybrid
-    n = hy.bph.order
-    assert np.array_equal(hy.assembled.alpha[:n], hy.bph.weights)
-    assert np.array_equal(hy.assembled.alpha[n:], hy.he.p)
-    assert hy.assembled.alpha.sum() == pytest.approx(1.0, abs=1e-9)
+    n, alpha = hy.weights.size, assembled(hy).alpha
+    assert np.array_equal(alpha[:n], hy.weights)
+    assert np.array_equal(alpha[n:], hy.he.p)
+    assert alpha.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_closed_form_matches_matrix(pareto_hybrid):
@@ -59,8 +64,26 @@ def test_closed_form_matches_matrix(pareto_hybrid):
     _, _, hy = pareto_hybrid
     xs = np.linspace(0.0, 30.0, 50)
     closed = hybrid.hybrid_ccdf(hy, xs)
-    matrix = phmodel.ccdf(hy.assembled, xs)
+    matrix = phmodel.ccdf(assembled(hy), xs)
     assert closed == pytest.approx(matrix, abs=1e-10)
+
+
+def test_assemble_divides_the_generator_by_the_scale(pareto_hybrid):
+    _, _, hy = pareto_hybrid
+    model = hybrid.assemble(hy.weights, hy.he, 4.0, {"tag": "x"})
+    assert np.array_equal(model.A, assembled(hy).A / 4.0)
+    assert model.meta == {"tag": "x"}
+
+
+def test_he_only_layout_matches_mixture():
+    # [DERIVED] an empty body lays a complete mixture out alone, as a
+    # diagonal generator with the same CCDF.
+    he = HyperExp(p=np.array([0.25, 0.75]), lam=np.array([0.3, 3.0]))
+    model = hybrid.assemble(np.empty(0), he, 1.0, {})
+    assert np.array_equal(model.A, np.diag(-he.lam))
+    xs = np.linspace(0.0, 10.0, 20)
+    assert phmodel.ccdf(model, xs) == pytest.approx(hefit.he_ccdf(he, xs),
+                                                    abs=1e-12)
 
 
 def test_tail_interpolates_target(pareto_hybrid):
@@ -80,11 +103,11 @@ def test_k_zero_degenerates_to_bph(pareto_hybrid):
     dist, Fbar, _ = pareto_hybrid
     hy = build(Fbar, 50, [])
     assert hy.he.k == 0
-    comp = bph.build_from_ccdf([Fbar(x) for x in bph.grid_points(50)])
-    assert hy.bph.weights == pytest.approx(comp.weights, abs=1e-15)
+    weights = bph.build_from_ccdf([Fbar(x) for x in bph.grid_points(50)])
+    assert hy.weights == pytest.approx(weights, abs=1e-15)
     xs = np.linspace(0.0, 4.0, 10)
     assert hybrid.hybrid_ccdf(hy, xs) == pytest.approx(
-        bernstein_he_ccdf(comp.node_values, np.empty(0), np.empty(0), xs),
+        bernstein_he_ccdf(np.cumsum(weights), np.empty(0), np.empty(0), xs),
         abs=1e-15)
 
 
@@ -99,7 +122,7 @@ def test_overshooting_tail_rejected():
 
 
 def test_residual_ccdf_clamps_small_dips():
-    he = HyperExp(p=np.array([0.5]), lam=np.array([1.0]), defective=True)
+    he = HyperExp(p=np.array([0.5]), lam=np.array([1.0]))
     # Fbar slightly below the HE tail at one point: within tolerance.
     Fbar = lambda x: 0.5 * np.exp(-x) - 1e-8 if np.isfinite(x) else 0.0
     with pytest.warns(UserWarning, match="clamped"):
@@ -110,7 +133,7 @@ def test_residual_ccdf_clamps_small_dips():
 def test_residual_ccdf_rejects_overshoot_at_a_fit_point():
     # The fit points are checked as well as the nodes: an overshoot seen
     # only at a fit point still fails the build.
-    he = HyperExp(p=np.array([0.5]), lam=np.array([1.0]), defective=True)
+    he = HyperExp(p=np.array([0.5]), lam=np.array([1.0]))
     Fbar = lambda x: 0.5 * math.exp(-x) + (1e-3 if x < 2.0 else -1e-5)
     nodes = [1.0, 0.0]
     at_nodes = [Fbar(x) for x in nodes]
@@ -163,22 +186,12 @@ def test_array_build_equals_per_point_reference():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             hy = build(Fbar, 100, points)
-        assert np.array_equal(hy.bph.weights, weights)
+        assert np.array_equal(hy.weights, weights)
         assert np.array_equal(hy.he.p, he.p)
         assert np.array_equal(hy.he.lam, he.lam)
         built += 1
         clamped += worst < -PROB_NOISE_TOL
     assert built >= 10 and clamped >= 1 and overshoot >= 1
-
-
-def test_meta_propagates():
-    dist = targets_mod.TargetDistribution(kind="pareto", params={"shape": 3.1})
-    Fbar = lambda x: targets_mod.ccdf(dist, x)
-    hy = build(Fbar, 30, [6.0, 60.0], meta={"tag": "x"})
-    assert hy.assembled.meta["tag"] == "x"
-    assert hy.assembled.meta["kind"] == "bph_he"
-    assert hy.assembled.meta["order_bph"] == 30
-    assert hy.assembled.meta["terms_he"] == 1
 
 
 def test_fit_assembles_the_dense_generator_once(pareto, monkeypatch):
@@ -191,4 +204,3 @@ def test_fit_assembles_the_dense_generator_once(pareto, monkeypatch):
     out = fitting.fit_bph_he(pareto, adam=AdamConfig(max_iters=20))
     assert len(out.trace) == 21
     assert calls == [100]
-    assert out.hybrid.assembled is out.hybrid.assembled
