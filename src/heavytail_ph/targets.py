@@ -11,9 +11,10 @@ segments of log x, halving those that differ by more than MOMENT_REL_TOL of
 the whole integral (see numeric_moment).
 
 ccdf, pdf and ccdf_inverse take a float, returning a float, or an array,
-returning an array. Pareto, Weibull and Burr invert in closed form, so
-their draws are one array expression; Lognormal and tabulated targets
-invert by bisection, one draw at a time.
+returning an array. Every kind evaluates through numpy (Lognormal by a
+numpy port of the C library's erfc). Pareto, Weibull and Burr invert in
+closed form; Lognormal and tabulated targets by one bisection over the
+whole array of draws.
 """
 
 from __future__ import annotations
@@ -147,19 +148,15 @@ def ccdf(dist: TargetDistribution, x):
     """Complementary CDF of the target at x >= 0 (ValueError below): a
     float for a float x, an array of x's shape for an array.
 
-    Lognormal evaluates by `math` (numpy has no erfc), value by value for
-    an array; every other kind through numpy, a float as an array of one
-    value. Each value of an array call equals the float call.
+    Every kind evaluates through numpy, a float as an array of one value,
+    so each value of an array call equals the float call.
     """
     p = dist.params
-    if dist.kind == "lognormal":
-        if not isinstance(x, float):
-            return _each(ccdf, dist, x)
-        if x == 0.0:  # math.log raises ValueError for x < 0
-            return 1.0
-        return 0.5 * math.erfc((math.log(x) - p["mu"]) / p["sigma"] / _ROOT2)
     xs, scalar = as_grid(x)
-    if dist.kind == "pareto":
+    if dist.kind == "lognormal":
+        with np.errstate(divide="ignore"):  # log 0 = -inf, erfc(-inf) = 2
+            out = 0.5 * _erfc((np.log(xs) - p["mu"]) / p["sigma"] / _ROOT2)
+    elif dist.kind == "pareto":
         out = (1.0 + xs) ** -p["shape"]
     elif dist.kind == "burr":
         c, d = p["c"], p["d"]
@@ -179,16 +176,14 @@ def pdf(dist: TargetDistribution, x):
     """Density of the target at x >= 0, a float or an array as for ccdf
     (tabulated: a central difference of the interpolated CCDF)."""
     p = dist.params
-    if dist.kind == "lognormal":
-        if not isinstance(x, float):
-            return _each(pdf, dist, x)
-        if x == 0.0:  # math.log raises ValueError for x < 0
-            return 0.0
-        z = (math.log(x) - p["mu"]) / p["sigma"]
-        return math.exp(-0.5 * z * z) / (x * p["sigma"] * _ROOT_2PI)
     xs, scalar = as_grid(x)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if dist.kind == "pareto":
+        if dist.kind == "lognormal":
+            sigma = p["sigma"]
+            z = (np.log(xs) - p["mu"]) / sigma
+            out = np.exp(-0.5 * z * z) / (xs * sigma * _ROOT_2PI)
+            out[xs == 0.0] = 0.0
+        elif dist.kind == "pareto":
             a = p["shape"]
             out = a * (1.0 + xs) ** -(a + 1.0)
         elif dist.kind == "burr":
@@ -212,11 +207,86 @@ def pdf(dist: TargetDistribution, x):
     return float(out[0]) if scalar else out
 
 
-def _each(fn, dist: TargetDistribution, x):
-    """fn(dist, v) at each value v of x, as a float for a 0-d x."""
-    xs = np.asarray(x, dtype=float)
-    out = np.array([fn(dist, v) for v in xs.ravel().tolist()])
-    return out.reshape(xs.shape) if xs.ndim else float(out[0])
+# erfc by fdlibm's s_erf.c (Sun Microsystems, 1993): rational
+# approximations on |z| < 0.84375, < 1.25, < 1/0.35 and < 28, the last two
+# as e^(-z^2 - 0.5625 + R/S) / |z|. Coefficients are fdlibm's; _poly
+# groups the terms as the GNU C library's version does, with which the
+# first two ranges then agree bit for bit.
+_ERX = 8.45062911510467529297e-01
+_PP = (1.28379167095512558561e-01, -3.25042107247001499370e-01,
+       -2.84817495755985104766e-02, -5.77027029648944159157e-03,
+       -2.37630166566501626084e-05)
+_QQ = (1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02,
+       5.08130628187576562776e-03, 1.32494738004321644526e-04,
+       -3.96022827877536812320e-06)
+_PA = (-2.36211856075265944077e-03, 4.14856118683748331666e-01,
+       -3.72207876035701323847e-01, 3.18346619901161753674e-01,
+       -1.10894694282396677476e-01, 3.54783043256182359371e-02,
+       -2.16637559486879084300e-03)
+_QA = (1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01,
+       7.18286544141962662868e-02, 1.26171219808761642112e-01,
+       1.36370839120290507362e-02, 1.19844998467991074170e-02)
+_RA = (-9.86494403484714822705e-03, -6.93858572707181764372e-01,
+       -1.05586262253232909814e+01, -6.23753324503260060396e+01,
+       -1.62396669462573470355e+02, -1.84605092906711035994e+02,
+       -8.12874355063065934246e+01, -9.81432934416914548592e+00)
+_SA = (1.0, 1.96512716674392571292e+01, 1.37657754143519042600e+02,
+       4.34565877475229228821e+02, 6.45387271733267880336e+02,
+       4.29008140027567833386e+02, 1.08635005541779435134e+02,
+       6.57024977031928170135e+00, -6.04244152148580987438e-02)
+_RB = (-9.86494292470009928597e-03, -7.99283237680523006574e-01,
+       -1.77579549177547519889e+01, -1.60636384855821916062e+02,
+       -6.37566443368389627722e+02, -1.02509513161107724954e+03,
+       -4.83519191608651397019e+02)
+_SB = (1.0, 3.03380607434824582924e+01, 3.25792512996573918826e+02,
+       1.53672958608443695994e+03, 3.19985821950859553908e+03,
+       2.55305040643316442583e+03, 4.74528541206955367215e+02,
+       -2.24409524465858183362e+01)
+# The break between the last two ranges, 1/0.35 cut to its high 32 bits.
+_Z_RB = float(np.uint64(0x4006DB6D << 32).view(np.float64))
+_HIGH_WORD = np.uint64(0xFFFFFFFF << 32)
+
+
+def _poly(s: np.ndarray, coef: tuple) -> np.ndarray:
+    """Sum of s^(2k) * (coef[2k] + s * coef[2k + 1]) over k = 0, 1, ...,
+    added in that order, with s^4 = (s^2)^2, s^6 = s^4 * s^2 and
+    s^8 = (s^4)^2; an odd last coefficient stands alone."""
+    s2 = s * s
+    s4 = s2 * s2
+    out = coef[0] + s * coef[1]
+    for k, power in zip(range(2, len(coef), 2), (s2, s4, s4 * s2, s4 * s4)):
+        pair = coef[k] + s * coef[k + 1] if k + 1 < len(coef) else coef[k]
+        out = out + power * pair
+    return out
+
+
+def _erfc(z: np.ndarray) -> np.ndarray:
+    """erfc at each value of a float array: 2 below -6 (and at -inf), 0
+    from 28 up, NaN for NaN; within 4 ulp of the C library's erfc where
+    that is a normal float."""
+    a = np.abs(z)
+    # The values for |z| >= 28 and NaN; the ranges below overwrite the rest.
+    out = np.where(z < 0.0, 2.0, np.where(np.isnan(z), z, 0.0))
+    near = a < 0.84375
+    t = z[near]
+    y = _poly(t * t, _PP) / _poly(t * t, _QQ)
+    out[near] = np.where(t < 0.25, 1.0 - (t + t * y),
+                         0.5 - (t * y + (t - 0.5)))
+    mid = (a >= 0.84375) & (a < 1.25)
+    s = a[mid] - 1.0
+    q = _poly(s, _PA) / _poly(s, _QA)
+    out[mid] = np.where(z[mid] >= 0.0, (1.0 - _ERX) - q, 1.0 + (_ERX + q))
+    for far, r_coef, s_coef in (((a >= 1.25) & (a < _Z_RB), _RA, _SA),
+                                ((a >= _Z_RB) & (a < 28.0) & (z > -6.0),
+                                 _RB, _SB)):
+        x = a[far]
+        s = 1.0 / (x * x)
+        # x with the low 32 bits of its mantissa cleared: hi * hi is exact.
+        hi = (x.view(np.uint64) & _HIGH_WORD).view(np.float64)
+        r = np.exp(-hi * hi - 0.5625) * np.exp(
+            (hi - x) * (hi + x) + _poly(s, r_coef) / _poly(s, s_coef))
+        out[far] = np.where(z[far] > 0.0, r / x, 2.0 - r / x)
+    return out
 
 
 def _tabulated_ccdf(dist: TargetDistribution, x: np.ndarray) -> np.ndarray:
@@ -230,8 +300,10 @@ def _tabulated_ccdf(dist: TargetDistribution, x: np.ndarray) -> np.ndarray:
     tail = x > tx[-1]
     slope = (math.log(cc[-1]) - math.log(cc[-2])) / \
             (math.log(tx[-1]) - math.log(tx[-2]))
-    # Value by value: numpy's vector power can differ from the C library's
-    # pow in the last bit, and the float calls of the bisection use pow.
+    # Value by value, by the C library's pow, which gives a value the same
+    # bits whatever array holds it, so a float call equals its value in an
+    # array call. numpy does not promise that of its vector power (which
+    # differs from pow in the last bit on about 5% of points).
     out[tail] = [cc[-1] * (v / tx[-1]) ** slope for v in x[tail].tolist()]
     return out
 
@@ -241,69 +313,93 @@ def ccdf_inverse(dist: TargetDistribution, u):
     for ccdf.
 
     Pareto, Weibull and Burr invert in closed form; Lognormal and tabulated
-    targets by bisection, value by value. NonConvergenceError is raised
+    targets by one bisection over the whole array (_bisect). Each value of
+    an array call equals the float call. NonConvergenceError is raised
     when an x lies beyond the largest float.
     """
-    if dist.kind in ("lognormal", "tabulated"):
-        return _each(_bisect, dist, u)
     us = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.all((us > 0.0) & (us < 1.0)):
         raise ValueError(f"u must be in (0, 1), got {u}")
-    p = dist.params
-    t = -np.log(us)
-    with np.errstate(over="ignore"):
-        if dist.kind == "pareto":
-            x = np.expm1(t / p["shape"])
-        elif dist.kind == "weibull":
-            x = p["scale"] * t ** (1.0 / p["shape"])
-        else:
-            c, t = p["c"], t / p["d"]
-            x = np.expm1(t) ** (1.0 / c)
-            # Where e^t overflows, e^-t is below rounding: x = e^(t/c).
-            big = np.isinf(x)
-            x[big] = np.exp(t[big] / c)
-    if not np.all(np.isfinite(x)):
-        raise NonConvergenceError(
-            f"ccdf stays above u={us[~np.isfinite(x)][0]} up to the largest "
-            "float")
+    if dist.kind in ("lognormal", "tabulated"):
+        x = _bisect(dist, us.ravel()).reshape(us.shape)
+    else:
+        p = dist.params
+        t = -np.log(us)
+        with np.errstate(over="ignore"):
+            if dist.kind == "pareto":
+                x = np.expm1(t / p["shape"])
+            elif dist.kind == "weibull":
+                x = p["scale"] * t ** (1.0 / p["shape"])
+            else:
+                c, t = p["c"], t / p["d"]
+                x = np.expm1(t) ** (1.0 / c)
+                # Where e^t overflows, e^-t is below rounding: x = e^(t/c).
+                big = np.isinf(x)
+                x[big] = np.exp(t[big] / c)
+        if not np.all(np.isfinite(x)):
+            raise NonConvergenceError(
+                f"ccdf stays above u={us[~np.isfinite(x)][0]} up to the "
+                "largest float")
     return float(x[0]) if np.ndim(u) == 0 else x
 
 
-def _bisect(dist: TargetDistribution, u: float) -> float:
-    """Solve ccdf(x) = u for x, by bracketing bisection with Newton polish.
+def _bisect(dist: TargetDistribution, u: np.ndarray) -> np.ndarray:
+    """Solve ccdf(x) = u at each value of a 1-d array u, by bracketing
+    bisection with Newton polish.
 
-    Requires a continuous, strictly decreasing CCDF on the relevant range.
+    Each value takes the steps it would take alone: its bracket [lo, hi]
+    doubles from [0, 1] until ccdf(hi) <= u (NonConvergenceError once hi
+    overflows), is halved until its width is at most 1e-13 * max(hi, 1) or
+    200 times, and then up to 8 Newton steps polish its midpoint, stopping
+    at the first that leaves the bracket or moves x by at most 1e-12 x.
+    Each stage evaluates the CCDF, and the density, by one array call at
+    the values still moving. Requires a continuous, strictly decreasing
+    CCDF on the relevant range.
     """
-    if not (0.0 < u < 1.0):
-        raise ValueError(f"u must be in (0, 1), got {u}")
-    lo, hi = 0.0, 1.0
-    while ccdf(dist, hi) > u:  # ends by hi = inf, where every ccdf is 0
-        lo, hi = hi, hi * 2.0
-    if hi == math.inf:
-        raise NonConvergenceError(
-            f"ccdf stays above u={u} up to the largest float")
+    hi = np.ones_like(u)
+    live = np.arange(u.size)
+    while True:
+        live = live[ccdf(dist, hi[live]) > u[live]]
+        if not live.size:
+            break
+        with np.errstate(over="ignore"):
+            hi[live] *= 2.0
+        if np.isinf(hi[live]).any():
+            raise NonConvergenceError(
+                f"ccdf stays above u={u[live][np.isinf(hi[live])][0]} up to "
+                "the largest float")
+    lo = np.where(hi > 1.0, 0.5 * hi, 0.0)
+
+    # The values still halving, compacted: a, b and ul hold their
+    # brackets and levels, and each bracket is stored when it is done.
+    live, a, b, ul = np.arange(u.size), lo, hi, u
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if ccdf(dist, mid) > u:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(hi, 1.0):
+        mid = 0.5 * (a + b)
+        above = ccdf(dist, mid) > ul
+        a, b = np.where(above, mid, a), np.where(above, b, mid)
+        done = b - a <= 1e-13 * np.maximum(b, 1.0)
+        lo[live[done]], hi[live[done]] = a[done], b[done]
+        live, a, b, ul = live[~done], a[~done], b[~done], ul[~done]
+        if not live.size:
             break
+    lo[live], hi[live] = a, b
+
     x = 0.5 * (lo + hi)
-    # Newton polish where the density is informative.
+    live = np.arange(u.size)
     for _ in range(8):
-        fx = ccdf(dist, x) - u
-        dfx = -pdf(dist, x)
-        if dfx == 0.0 or not math.isfinite(dfx):
+        if not live.size:
             break
-        step = fx / dfx
-        x_new = x - step
-        if not (lo <= x_new <= hi):
-            break
-        x = x_new
-        if abs(step) <= 1e-12 * max(x, 1e-300):
-            break
+        xl = x[live]
+        fx = ccdf(dist, xl) - u[live]
+        dfx = -pdf(dist, xl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = fx / dfx
+        x_new = xl - step
+        ok = ((dfx != 0.0) & np.isfinite(dfx)
+              & (lo[live] <= x_new) & (x_new <= hi[live]))
+        live, x_new, step = live[ok], x_new[ok], step[ok]
+        x[live] = x_new
+        live = live[np.abs(step) > 1e-12 * np.maximum(x_new, 1e-300)]
     return x
 
 

@@ -38,7 +38,10 @@ def test_traced_validate_run_fires_every_boundary():
     """The traced validate run reaches every simulation and queue boundary,
     among them `phmodel.sample_with_rng` and `draw_target`, whose Lognormal
     draws bisect through `targets.ccdf_inverse` and `targets.ccdf`; a draw
-    path that calls around one of them fails the run as "never fired".
+    path that calls around one of them fails the run as "never fired". The
+    bisection evaluates the CCDF once per step for a whole replication's
+    draws, so an operation makes hundreds of `targets.ccdf` calls (113 at
+    this size, about 600 at full size), not tens per draw.
     `correct` is not asserted: the tiny size simulates 2 replications, and
     their mean checks miss on correct code at some seeds (at seed 0 the
     Lognormal rho check does)."""
@@ -48,3 +51,5 @@ def test_traced_validate_run_fires_every_boundary():
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert "never fired" not in proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["metrics"]["targets.ccdf_calls"]["value"] <= 1000

@@ -128,6 +128,60 @@ def test_ccdf_inverse_roundtrip(all_targets):
             assert targets.ccdf(dist, x) == pytest.approx(level, rel=1e-8)
 
 
+def bisect_oracle(ccdf, pdf, u):
+    """x with ccdf(x) = u for float functions ccdf and pdf, one value at a
+    time: the bracket doubles from [0, 1], is halved to a width of
+    1e-13 * max(hi, 1) (at most 200 times), and up to 8 Newton steps that
+    stay inside it polish the midpoint: the steps `targets._bisect` takes
+    for every value of an array at once."""
+    lo, hi = 0.0, 1.0
+    while ccdf(hi) > u:
+        lo, hi = hi, hi * 2.0
+    if hi == math.inf:
+        raise NonConvergenceError(f"ccdf stays above u={u}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if ccdf(mid) > u:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * max(hi, 1.0):
+            break
+    x = 0.5 * (lo + hi)
+    for _ in range(8):
+        fx = ccdf(x) - u
+        dfx = -pdf(x)
+        if dfx == 0.0 or not math.isfinite(dfx):
+            break
+        step = fx / dfx
+        x_new = x - step
+        if not (lo <= x_new <= hi):
+            break
+        x = x_new
+        if abs(step) <= 1e-12 * max(x, 1e-300):
+            break
+    return x
+
+
+def float_functions(dist):
+    """The target's CCDF and density on floats. For Lognormal, the `math`
+    forms (the C library's erfc), independent of the package's numpy erfc."""
+    if dist.kind != "lognormal":
+        return (lambda x: targets.ccdf(dist, x),
+                lambda x: targets.pdf(dist, x))
+    mu, sigma = dist.params["mu"], dist.params["sigma"]
+
+    def ccdf(x):
+        if x == 0.0:
+            return 1.0
+        return 0.5 * math.erfc((math.log(x) - mu) / sigma / math.sqrt(2.0))
+
+    def pdf(x):
+        z = (math.log(x) - mu) / sigma
+        return math.exp(-0.5 * z * z) / (x * sigma * math.sqrt(2.0 * math.pi))
+    return ccdf, pdf
+
+
 _CLOSED_FORM_TARGETS = [
     TargetDistribution(kind="pareto", params={"shape": 3.1}),
     TargetDistribution(kind="pareto", params={"shape": 0.4}),
@@ -137,19 +191,100 @@ _CLOSED_FORM_TARGETS = [
     TargetDistribution(kind="weibull", params={"scale": 5.0, "shape": 0.2}),
     TargetDistribution(kind="weibull", params={"scale": 0.3, "shape": 3.0}),
 ]
+_COARSE_TABLE = ((0.5, 2.0, 10.0, 40.0), (0.9, 0.4, 0.05, 0.004))
+_BISECTED_TARGETS = [
+    TargetDistribution(kind="lognormal", params={"mu": 1.0, "sigma": 2.0}),
+    TargetDistribution(kind="lognormal", params={"mu": -2.0, "sigma": 0.2}),
+    TargetDistribution(kind="lognormal", params={"mu": 3.0, "sigma": 3.0}),
+    TargetDistribution(kind="tabulated", params={}, table=_COARSE_TABLE),
+]
 
 
-@pytest.mark.parametrize("dist", _CLOSED_FORM_TARGETS, ids=lambda d: "-".join(
-    [d.kind, *map(str, d.params.values())]))
+def _ids(dist):
+    return "-".join([dist.kind, *map(str, dist.params.values())])
+
+
+@pytest.mark.parametrize("dist", _CLOSED_FORM_TARGETS, ids=_ids)
 def test_closed_form_inverse_matches_bisection(dist):
-    # [ORACLE] the bisection with Newton polish, which still inverts
-    # Lognormal and tabulated targets. An array of u gives the float
-    # results, value by value.
+    # [ORACLE] the bisection with Newton polish, one value at a time. An
+    # array of u gives the float results, value by value.
     us = np.geomspace(1e-12, 0.5, 60)
     xs = targets.ccdf_inverse(dist, us)
-    ref = [targets._bisect(dist, u) for u in us.tolist()]
+    ref = [bisect_oracle(*float_functions(dist), u) for u in us.tolist()]
     np.testing.assert_allclose(xs, ref, rtol=1e-10, atol=0.0)
     assert xs.tolist() == [targets.ccdf_inverse(dist, u) for u in us.tolist()]
+
+
+@pytest.mark.parametrize("dist", _BISECTED_TARGETS, ids=_ids)
+def test_array_bisection_matches_one_value_at_a_time(dist):
+    # [ORACLE] the same bisection one value at a time, on the C library's
+    # erfc for Lognormal. For the table, u above 0.9 has no solution: its
+    # CCDF jumps from 1 at 0 to 0.9, and both return a point within 1e-13
+    # of 0. An array of u gives the float results, value by value (checked
+    # on every 8th, as each float call costs a whole bisection).
+    tail = np.geomspace(1e-12, 0.5, 200)
+    us = np.concatenate([tail, 1.0 - tail])
+    xs = targets.ccdf_inverse(dist, us)
+    ref = [bisect_oracle(*float_functions(dist), u) for u in us.tolist()]
+    np.testing.assert_allclose(xs, ref, rtol=1e-10, atol=0.0)
+    assert xs[::8].tolist() == [targets.ccdf_inverse(dist, u)
+                                for u in us[::8].tolist()]
+    assert np.array_equal(targets.ccdf_inverse(dist, us.reshape(20, 20)),
+                          xs.reshape(20, 20))
+
+
+def test_lognormal_inverse_takes_the_array_path(monkeypatch):
+    # 10,000 draws cost one CCDF call per step of the bisection (60 here),
+    # where one draw alone costs 46, and the first call holds every draw.
+    dist = TargetDistribution(kind="lognormal",
+                              params={"mu": 1.0, "sigma": 2.0})
+    calls = []
+    ccdf = targets.ccdf
+    monkeypatch.setattr(targets, "ccdf",
+                        lambda d, x: calls.append(np.size(x)) or ccdf(d, x))
+    us = np.random.default_rng(0).random(10_000)
+    targets.ccdf_inverse(dist, us)
+    assert len(calls) <= 400
+    assert max(calls) == us.size
+
+
+@pytest.mark.filterwarnings("error")
+def test_unreachable_level_in_an_array_raises():
+    # [DERIVED] past x = 2 this table falls as x^-4.8e-7, to 0.29990 at the
+    # largest float: u = 0.1 lies beyond it, u = 0.5 and 0.29995 (at x
+    # about 2e150) do not. The doubling bracket overflows without a warning.
+    dist = TargetDistribution(kind="tabulated", params={},
+                              table=((0.0, 1.0, 2.0), (1.0, 0.3, 0.2999999)))
+    assert 1e150 < targets.ccdf_inverse(dist, 0.29995) < 4e150
+    with pytest.raises(NonConvergenceError, match="u=0.1 "):
+        targets.ccdf_inverse(dist, np.array([0.5, 0.1, 0.29995]))
+
+
+def test_erfc_matches_the_c_library():
+    # [ORACLE] math.erfc on 1.36 million points of [-7, 27], the last
+    # 20,001 in its subnormal tail past 26.5: within 4 ulp where it is a
+    # normal float, and within 4 subnormal steps (4.9e-324 each) below.
+    z = np.concatenate([np.linspace(-7.0, 27.0, 1_340_001),
+                        np.linspace(26.5, 27.3, 20_001)])
+    got = targets._erfc(z)
+    ref = np.array([math.erfc(v) for v in z.tolist()])
+    normal = ref >= np.finfo(float).tiny
+    assert (~normal).sum() > 20_000
+    ulps = np.abs(got - ref) / np.spacing(ref)
+    assert ulps[normal].max() <= 4.0
+    assert np.abs(got - ref)[~normal].max() <= 4 * 5e-324
+    assert np.mean(got == ref) > 0.9
+
+
+def test_erfc_limits():
+    # [DERIVED] erfc is 2 at and below -6 and 0 from 28 up in doubles; NaN
+    # stays NaN.
+    low = np.array([-6.0, -6.5, -27.0, -30.0, -1e300, -np.inf])
+    high = np.array([28.0, 30.0, 1e300, np.inf])
+    assert np.all(targets._erfc(low) == 2.0)
+    assert np.all(targets._erfc(high) == 0.0)
+    assert np.isnan(targets._erfc(np.array([np.nan, 1.0])))[0]
+    assert targets._erfc(np.array([0.0, -0.0])).tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -240,7 +375,10 @@ def test_moment_order_validated(pareto):
 
 def quad_moment(dist, order, window):
     """order * integral of x^(order-1) * ccdf over the window, by quad on
-    doubling segments from 1e-3."""
+    doubling segments from 1e-3, each to 1e-13 relative or 1e-300 absolute.
+    The absolute floor, like numeric_moment's MOMENT_ABS_TOL, lets a segment
+    converge where the CCDF is subnormal: 1e-13 of a subnormal integral is
+    below the rounding of its own terms, and quad then warns of roundoff."""
     from scipy.integrate import quad
     x_min, x_max = window
     breaks = [x_min]
@@ -250,7 +388,7 @@ def quad_moment(dist, order, window):
         b *= 2.0
     breaks = sorted(set(breaks + [x_max]))
     pieces = [quad(lambda x: x ** (order - 1) * targets.ccdf(dist, x), a, b,
-                   epsrel=1e-13, epsabs=0.0, limit=500)[0]
+                   epsrel=1e-13, epsabs=1e-300, limit=500)[0]
               for a, b in zip(breaks[:-1], breaks[1:])]
     return order * math.fsum(pieces)
 
@@ -391,7 +529,6 @@ def test_acceptance_target_stats_match_quad(all_targets):
         assert cv == pytest.approx(math.sqrt(q2 - q1 * q1) / q1, rel=1e-12)
 
 
-_COARSE_TABLE = ((0.5, 2.0, 10.0, 40.0), (0.9, 0.4, 0.05, 0.004))
 _EXP_XS = np.linspace(0.01, 50.0, 400)
 
 
