@@ -5,7 +5,6 @@ distribution functions; BACKEND_NAME names this single implementation.
 """
 
 import math
-from functools import cache
 
 import numpy as np
 
@@ -21,12 +20,9 @@ def as_grid(x) -> tuple[np.ndarray, bool]:
     return xs, np.ndim(x) == 0
 
 
-@cache
 def _log_binomials(n: int) -> np.ndarray:
     """log C(n, i) for i = 1..n: one rounding of each exact integer."""
-    row = np.array([math.log(math.comb(n, i)) for i in range(1, n + 1)])
-    row.flags.writeable = False
-    return row
+    return np.array([math.log(math.comb(n, i)) for i in range(1, n + 1)])
 
 
 def bernstein_basis(n: int, xs) -> np.ndarray:

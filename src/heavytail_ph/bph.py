@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import WEIGHT_NEG_TOL
 from .errors import InvalidModelError
 
 DEFAULT_ORDER = 100
+
+# Negative BPH weights beyond this signal a non-monotone input evaluator.
+WEIGHT_NEG_TOL = 1e-9
 
 
 def grid_points(n: int) -> np.ndarray:

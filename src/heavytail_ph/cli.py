@@ -505,6 +505,8 @@ def cmd_simulate(model_path, lam, jobs, warmup, replications, seed, wait_grid,
     except ValueError as exc:
         raise click.UsageError(f"invalid simulation settings: {exc}")
     if model_path:
+        if any(v is not None for v in target_args.values()):
+            raise click.UsageError("--model takes no target option")
         service = simqueue.model_service(_load_model(model_path))
         source = {"model": model_path}
         inputs = [model_path]

@@ -17,10 +17,12 @@ import numpy as np
 
 from . import bph as bph_mod
 from ._backend import as_grid, bernstein_he_ccdf
-from .constants import PROB_NOISE_TOL, RESIDUAL_NEG_TOL
 from .errors import InvalidModelError
 from .hefit import HyperExp, fit_defective, he_ccdf
-from .phmodel import PhaseTypeModel
+from .phmodel import PROB_NOISE_TOL, PhaseTypeModel
+
+# Residual CCDF may dip this far below zero before the hybrid build fails.
+RESIDUAL_NEG_TOL = 1e-6
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ central finite difference of the penalized loss.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -24,12 +23,9 @@ import numpy as np
 from . import targets as targets_mod
 from ._backend import basis_he_ccdf, bernstein_basis
 from .bph import grid_points
-from .constants import RESIDUAL_NEG_TOL
 from .errors import InvalidModelError
 from .hefit import fit_defective_raw
-from .hybrid import build_hybrid
-
-log = logging.getLogger(__name__)
+from .hybrid import RESIDUAL_NEG_TOL, build_hybrid
 
 # Raw-mixture CCDF values are clipped here so the loss stays finite even
 # for wildly invalid candidates (e.g. negative rates).
@@ -292,11 +288,7 @@ def optimize(target, n: int, grid: EvalGrid, weights: LossWeights,
     stall = 0
 
     for t in range(1, adam.max_iters + 1):
-        # The exact gradient at the current points, when they are
-        # buildable; a collision nudge below moves them by about 1e-6 in
-        # log-points, too little to matter.
         grad = evaluator.gradient()
-        u = _repel_collisions(u)
         if grad is None:
             grad = _central_differences(evaluator, u)
 
@@ -335,19 +327,3 @@ def _central_differences(evaluator: LossEvaluator, u: np.ndarray) -> np.ndarray:
         grad[j] = (up - down) / (2.0 * _FD_STEP)
     return grad
 
-
-def _repel_collisions(u: np.ndarray) -> np.ndarray:
-    """Nudge apart log-points that collapsed within 1e-9 relative."""
-    order = np.argsort(u)
-    lo, hi = u[order[:-1]], u[order[1:]]
-    if not np.any(hi - lo <= 1e-9 * np.maximum(
-            np.maximum(np.abs(lo), np.abs(hi)), 1.0)):
-        return u
-    u = u.copy()
-    for a, b in zip(order[:-1], order[1:]):
-        if abs(u[b] - u[a]) <= 1e-9 * max(abs(u[a]), abs(u[b]), 1.0):
-            jitter = 1e-6 * max(abs(u[b]), 1.0)
-            u[b] += jitter
-            log.info("repelled colliding fit points at u=%.6f (+%.2e)",
-                     u[a], jitter)
-    return u

@@ -1,12 +1,11 @@
 """Continuous phase-type distributions as (alpha, A) vector-matrix pairs.
 
 Evaluation of the matrix exponential goes through uniformization, which
-preserves nonnegativity and has a certified truncation error. When A has
-the Bernstein-body-plus-HE structure of the fitted models
-(`bernstein_structure`), the mean and second moment are sums over the
-exponential stages and sampling draws each absorption time in one step;
-any other model takes its moments from linear solves against -A, never an
-explicit inverse, and is sampled by walking the underlying chain.
+preserves nonnegativity and has a certified truncation error. Every
+model takes its moments from linear solves against -A, never an explicit
+inverse. When A has the Bernstein-body-plus-HE structure of the fitted
+models (`bernstein_structure`), sampling draws each absorption time in one
+step; any other model is sampled by walking the underlying chain.
 """
 
 from __future__ import annotations
@@ -18,8 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._backend import as_grid
-from .constants import (CCDF_UNDERFLOW, PROB_NOISE_TOL, PROPER_SUM_TOL,
-                        UNIFORMIZATION_TAIL)
+
+# Probability vectors: entries may carry this much negative noise before
+# being treated as structurally invalid (they are clamped to 0 below it).
+PROB_NOISE_TOL = 1e-12
+PROPER_SUM_TOL = 1e-9  # a proper model's alpha sums to 1 within this
+UNIFORMIZATION_TAIL = 1e-13  # truncation of uniformization's Poisson tail
+CCDF_UNDERFLOW = 1e-300  # CCDF values below this are reported as 0
 
 # Largest uniformized step taken in one Poisson series; longer horizons are
 # split so the series stays short and e^{-q dx} representable.
@@ -198,37 +202,14 @@ def pdf(model: PhaseTypeModel, x) -> float | np.ndarray:
 # -- moments and scaling --------------------------------------------------
 
 def moment(model: PhaseTypeModel, k: int) -> float:
-    """m_k = k! * alpha * (-A)^{-k} * 1.
-
-    For k = 1 and 2 and a model with `bernstein_structure` (n, c), in
-    closed form: a chain started in body phase j passes through the rates
-    r_j, ..., r_{n-1}, so its absorption time has mean sum_i 1/r_i and
-    second moment sum_i 1/r_i^2 plus the mean squared; an HE phase at rate
-    lam gives 1/lam and 2/lam^2. Otherwise by k successive linear solves.
-    """
+    """m_k = k! * alpha * (-A)^{-k} * 1, by k successive linear solves."""
     if k < 1:
         raise ValueError("moment order must be >= 1")
     _require_valid(model)
-    structure = bernstein_structure(model.A) if k <= 2 else None
-    if structure is not None:
-        return _structured_moment(model.alpha, -np.diag(model.A),
-                                  structure[0], k)
     y = np.ones(model.order)
     for _ in range(k):
         y = np.linalg.solve(-model.A, y)
     return math.factorial(k) * float(model.alpha @ y)
-
-
-def _structured_moment(alpha, rates, n, k) -> float:
-    """Moment k (1 or 2) of a model with `bernstein_structure` (n, c)."""
-    inv = 1.0 / rates
-    # Per starting phase: body phases sum the stages to the end of the body.
-    m1 = np.concatenate([np.cumsum(inv[:n][::-1])[::-1], inv[n:]])
-    if k == 1:
-        return float(alpha @ m1)
-    inv2 = inv * inv
-    var = np.concatenate([np.cumsum(inv2[:n][::-1])[::-1], inv2[n:]])
-    return float(alpha @ (var + m1 * m1))
 
 
 def mean(model: PhaseTypeModel) -> float:

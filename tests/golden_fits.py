@@ -4,12 +4,12 @@ For each acceptance target (Pareto 3.1, Burr(2,1), Lognormal(1,2),
 Weibull(5,0.2)) and each method (`bph_he`, `bph`, `he`), the default fit's
 report (MAE, mean, CV, HE points) and its saved model: the order, the raw
 moments m1-m3 and the CCDF at the target's quantiles 0.5, 1e-1, ..., 1e-6.
-m3 always comes from the dense solves of `phmodel.moment`. The CCDF is the
-closed form of a model with `phmodel.bernstein_structure` (n, c): a phase j
-< n is absorbed after rates c(j+1), ..., cn, so the body is the Bernstein
-sum over the cumulated body weights at c*x, and each later phase is one
-exponential term. (Uniformization, `phmodel.ccdf`, takes about 6 s on the
-Weibull HE model, whose rates span six decades.)
+Every moment comes from the dense solves of `phmodel.moment`. The CCDF
+is the closed form of a model with `phmodel.bernstein_structure` (n, c):
+a phase j < n is absorbed after rates c(j+1), ..., cn, so the body is the
+Bernstein sum over the cumulated body weights at c*x, and each later
+phase is one exponential term. (Uniformization, `phmodel.ccdf`, takes
+about 6 s on the Weibull HE model, whose rates span six decades.)
 
 `tests/test_golden_fits.py` refits in process and compares with
 tests/data/golden_fits.json. Run with no argument, this script refits and

@@ -126,6 +126,8 @@ CASES = {
     "simulate-qlen-max-negative": (["simulate", "--model", "{good}", *SIM,
                                     "--qlen-max", "-1"], 2),
     "simulate-lam-nan": (["simulate", *PARETO, *SIM, "--lam", "nan"], 2),
+    "simulate-model-with-target": (["simulate", "--model", "{good}", *PARETO,
+                                    *SIM], 2),
     "simulate-no-replications": (["simulate", *PARETO, "--jobs", "2000",
                                   "--warmup", "100", "--replications",
                                   "0"], 2),
@@ -154,15 +156,22 @@ CASES = {
                                   "--replications", "1"], 0),
 }
 
+# The whole stderr line of the rows whose message is pinned too.
+MESSAGES = {"fit-k-50-points-collide":
+            "fit failed: fit points must be pairwise distinct"}
+
 
 # The residual-clamp UserWarning of a failing fit is not under test here.
 @pytest.mark.filterwarnings("ignore:residual CCDF clamped")
-@pytest.mark.parametrize("argv, code", CASES.values(), ids=CASES.keys())
-def test_exit_code_table(tmp_path, argv, code):
+@pytest.mark.parametrize("name", CASES)
+def test_exit_code_table(tmp_path, name):
+    argv, code = CASES[name]
     result = _invoke(argv, _model_files(tmp_path), tmp_path / "out")
     assert result.exit_code == code, result.output
     if code == 3:
         assert result.stderr.startswith("fit failed: ")
+    if name in MESSAGES:
+        assert result.stderr == MESSAGES[name] + "\n"
 
 
 def test_one_replication_writes_null_halfwidths(tmp_path):

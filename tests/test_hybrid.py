@@ -14,10 +14,11 @@ import pytest
 from heavytail_ph import bph, fitting, hefit, hybrid, phmodel
 from heavytail_ph import targets as targets_mod
 from heavytail_ph._backend import bernstein_he_ccdf
-from heavytail_ph.constants import PROB_NOISE_TOL, RESIDUAL_NEG_TOL
 from heavytail_ph.errors import InvalidModelError
 from heavytail_ph.hefit import HyperExp
+from heavytail_ph.hybrid import RESIDUAL_NEG_TOL
 from heavytail_ph.optimizer import AdamConfig, pow2_points
+from heavytail_ph.phmodel import PROB_NOISE_TOL
 
 
 def build(Fbar, n, points):

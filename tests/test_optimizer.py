@@ -293,9 +293,3 @@ def test_optimize_rejects_bad_init(pareto, grid):
     with pytest.raises(ValueError):
         optimize(pareto, 100, grid, LossWeights(), AdamConfig(),
                  [-1.0, 2.0])  # nonpositive
-
-
-def test_repel_collisions_separates_points():
-    u = np.log(np.array([1.0, 1.0, 2.0]))
-    out = optimizer._repel_collisions(u)
-    assert np.unique(out).size == 3

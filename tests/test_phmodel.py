@@ -2,9 +2,10 @@
 
 Oracles: closed-form exponential and Erlang distributions (where CCDF,
 PDF, and moments are elementary), scipy's dense matrix exponential for
-cross-checking uniformization on random generators, sample moments for
-the chain simulator, and the exact CCDF and the chain walk (two-sample
-KS) for the one-step sampler of structured models.
+cross-checking uniformization on random generators, the sums over the
+exponential stages for the moments of structured models, sample moments
+for the chain simulator, and the exact CCDF and the chain walk
+(two-sample KS) for the one-step sampler of structured models.
 """
 
 import json
@@ -19,8 +20,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from heavytail_ph import bph, fitting, phmodel
-from heavytail_ph.constants import PROB_NOISE_TOL
-from heavytail_ph.phmodel import PhaseTypeModel
+from heavytail_ph.phmodel import PROB_NOISE_TOL, PhaseTypeModel
 
 from conftest import random_stable_ph
 
@@ -222,23 +222,27 @@ def _dense_moment(model, k):
     return math.factorial(k) * float(model.alpha @ y)
 
 
+def _stage_moments(model, n):
+    """m1 and m2 of a model whose first n phases are a Bernstein body and
+    whose other phases are HE phases: a chain started in body phase j
+    passes through the rates r_j, ..., r_{n-1}, so its absorption time has
+    mean sum_i 1/r_i and second moment sum_i 1/r_i^2 plus the mean squared;
+    an HE phase at rate lam gives 1/lam and 2/lam^2."""
+    inv = -1.0 / np.diag(model.A)
+    m1 = np.concatenate([np.cumsum(inv[:n][::-1])[::-1], inv[n:]])
+    inv2 = inv * inv
+    var = np.concatenate([np.cumsum(inv2[:n][::-1])[::-1], inv2[n:]])
+    return float(model.alpha @ m1), float(model.alpha @ (var + m1 * m1))
+
+
 @pytest.mark.parametrize("name", ["stored-hybrid", "scaled-hybrid", "bph",
                                   "he", "bph_he"])
-def test_structured_moments_are_closed_form(fitted_models, name,
-                                            monkeypatch):
-    # [DERIVED] a structured model's m1 and m2 are sums over its
-    # exponential stages: no linear solve, and the solves' values to
-    # rounding. m3 keeps the solves, bit for bit.
-    m, _ = fitted_models[name]
-    dense = {k: _dense_moment(m, k) for k in (1, 2, 3)}
-    assert phmodel.moment(m, 3) == dense[3]
-
-    def no_solve(*args):
-        raise AssertionError("dense solve on a structured model")
-
-    monkeypatch.setattr(np.linalg, "solve", no_solve)
-    for k in (1, 2):
-        assert phmodel.moment(m, k) == pytest.approx(dense[k], rel=1e-12)
+def test_structured_moments_are_closed_form(fitted_models, name):
+    # [ORACLE] m1 and m2 of a structured model are sums over its
+    # exponential stages.
+    m, n = fitted_models[name]
+    for k, expected in zip((1, 2), _stage_moments(m, n)):
+        assert phmodel.moment(m, k) == pytest.approx(expected, rel=1e-12)
 
 
 def test_unstructured_moments_take_the_dense_solves():
