@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, bph, fitting, phmodel, queueing, simqueue
 from . import targets as targets_mod
-from .errors import (InvalidModelError, NonConvergenceError,
+from .errors import (ConfigError, InvalidModelError, NonConvergenceError,
                      UnstableQueueError)
 from .optimizer import AdamConfig, LossWeights, pow2_points
 
@@ -31,7 +31,7 @@ EXIT_NON_CONVERGENCE = 4
 
 # The exit code of each error that ends a command (click.BadParameter too).
 _EXIT_CODES = {click.UsageError: EXIT_CONFIG, UnstableQueueError: EXIT_CONFIG,
-               InvalidModelError: EXIT_FIT_FAILURE,
+               ConfigError: EXIT_CONFIG, InvalidModelError: EXIT_FIT_FAILURE,
                NonConvergenceError: EXIT_NON_CONVERGENCE}
 _PREFIXES = {EXIT_FIT_FAILURE: "fit failed: ",
              EXIT_NON_CONVERGENCE: "numerical non-convergence: "}
@@ -266,17 +266,6 @@ def _fit_config(target, methods, k, n, grid_size, grid_window, tail_window,
     return loss_weights, adam, grid, tail
 
 
-def _check_body_edge(target, method, grid, tail) -> None:
-    """A usage error when the hybrid's default HE points, which start at
-    the body edge, have no span below the grid top."""
-    level = fitting.BODY_EDGE_CCDF_LEVEL
-    if (method == "bph_he" and tail is None
-            and targets_mod.ccdf_inverse(target, level) >= grid.points[-1]):
-        raise click.UsageError(f"the target CCDF stays above {level:g} up to "
-                               f"the grid top {grid.points[-1]:g}; set "
-                               "--tail-window")
-
-
 def _run_fit(target, method, k, n, grid, tail, loss_weights, adam,
              no_optimize, adjust_mean=True):
     if method == "bph":
@@ -336,7 +325,6 @@ def cmd_fit(method, k, n, grid_size, grid_window, tail_window, weights, lr,
     loss_weights, adam, grid, tail = _fit_config(
         target, [method], k, n, grid_size, grid_window, tail_window, weights,
         lr, max_iters)
-    _check_body_edge(target, method, grid, tail)
     config = {"target": target.to_dict(), "method": method, "k": k,
               "bph_order": n, "grid_size": grid_size,
               "grid_span": [float(grid.points[0]), float(grid.points[-1])],

@@ -13,6 +13,10 @@ class InvalidModelError(ValueError):
         self.stage = stage
 
 
+class ConfigError(ValueError):
+    """Fit settings with nothing to fit, such as a body edge above the grid."""
+
+
 class NonConvergenceError(RuntimeError):
     """An iterative numerical procedure failed to reach its tolerance."""
 

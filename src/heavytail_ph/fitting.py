@@ -16,6 +16,7 @@ import numpy as np
 from . import bph as bph_mod
 from . import hefit, phmodel
 from . import targets as targets_mod
+from .errors import ConfigError
 from .hybrid import HybridModel, assemble, build_hybrid, hybrid_ccdf
 from .optimizer import (AdamConfig, EvalGrid, LossBreakdown, LossWeights,
                         optimize, pow2_points)
@@ -97,12 +98,14 @@ def _apply_mean_adjust(model, m_real: float, adjust: bool):
 
     Returns the (possibly rescaled) model and the time-compression ratio
     applied to evaluation arguments (1.0 when no adjustment is made). The
-    rescaling leaves the coefficient of variation unchanged.
+    rescaling, A times the ratio as in `phmodel.scale_to_mean`, leaves the
+    coefficient of variation unchanged.
     """
     if not adjust:
         return model, 1.0
     ratio = phmodel.mean(model) / m_real
-    return phmodel.scale_to_mean(model, m_real), ratio
+    return PhaseTypeModel(alpha=model.alpha, A=model.A * ratio,
+                          meta=dict(model.meta)), ratio
 
 
 def grid_mae(target, y_hat, grid: EvalGrid) -> float:
@@ -116,9 +119,12 @@ def _report(target, stats, method, model, y_hat, grid,
     """Fit report from the model CCDF y_hat on the grid; `stats` is the
     target's numeric_stats over its window."""
     m1, _, cv_real = stats
+    # phmodel.cv's expression, on the moments taken once.
+    m1_hat, m2_hat = phmodel.moment(model, 1), phmodel.moment(model, 2)
+    cv_hat = math.sqrt(max(m2_hat - m1_hat * m1_hat, 0.0)) / m1_hat
     return FitReport(method=method, mae=grid_mae(target, y_hat, grid),
-                     mean_real=m1, mean_approx=phmodel.moment(model, 1),
-                     cv_real=cv_real, cv_approx=phmodel.cv(model),
+                     mean_real=m1, mean_approx=m1_hat,
+                     cv_real=cv_real, cv_approx=cv_hat,
                      grid_span=(float(grid.points[0]), float(grid.points[-1])),
                      he_points=[float(x) for x in he_points])
 
@@ -189,6 +195,10 @@ def fit_bph_he(target, k: int = DEFAULT_K, n: int = bph_mod.DEFAULT_ORDER,
         # between-pair interpolation errors small and mutually cancelling.
         lo = s * math.log(max(n, 2))
         hi = float(grid.points[-1])
+        if not lo < hi:
+            raise ConfigError(
+                f"the target CCDF stays above {BODY_EDGE_CCDF_LEVEL:g} up to "
+                f"the grid top {hi:g}; set --tail-window")
         init_points = pow2_points(2 * k, lo, hi)
     # The optimizer and hybrid construction work in scaled time t = x / s,
     # where the fixed body generator is effective; `assemble` divides the

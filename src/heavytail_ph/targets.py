@@ -13,8 +13,8 @@ the whole integral (see numeric_moment).
 ccdf, pdf and ccdf_inverse take a float, returning a float, or an array,
 returning an array. Every kind evaluates through numpy (Lognormal by a
 numpy port of the C library's erfc). Pareto, Weibull and Burr invert in
-closed form; Lognormal and tabulated targets by one bisection over the
-whole array of draws.
+closed form; Lognormal and tabulated targets by Newton steps kept inside a
+bracket, over the whole array of draws at once.
 """
 
 from __future__ import annotations
@@ -265,9 +265,11 @@ def _poly(s: np.ndarray, coef: tuple) -> np.ndarray:
     return out
 
 
-# A numpy port, not math.erfc per value, which holds the GIL: these numpy
-# calls release it, so simulate's replication threads draw in parallel
-# (math.erfc raised the validate benchmark's op_ref 7%, on 2 cores).
+# A numpy port, not math.erfc mapped value by value, which raised the
+# validate benchmark's op_ref 7% (2 cores). Its numpy calls release the
+# GIL, but simulate's threads gain nothing from that on 2 cores: simulate
+# --target lognormal with that benchmark's arguments takes 0.16-0.19 s on
+# one simulation thread and on two alike.
 def _erfc(z: np.ndarray) -> np.ndarray:
     """erfc at each value of a float array: 2 below -6 (and at -inf), 0
     from 28 up, NaN for NaN; within 4 ulp of the C library's erfc where
@@ -321,15 +323,16 @@ def ccdf_inverse(dist: TargetDistribution, u):
     for ccdf.
 
     Pareto, Weibull and Burr invert in closed form; Lognormal and tabulated
-    targets by one bisection over the whole array (_bisect). Each value of
-    an array call equals the float call. NonConvergenceError is raised
-    when an x lies beyond the largest float.
+    targets by Newton steps kept inside a bracket, over the whole array at
+    once (_safeguarded_newton). Each value of an array call equals the
+    float call. NonConvergenceError is raised when an x lies beyond the
+    largest float.
     """
     us = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.all((us > 0.0) & (us < 1.0)):
         raise ValueError(f"u must be in (0, 1), got {u}")
     if dist.kind in ("lognormal", "tabulated"):
-        x = _bisect(dist, us.ravel()).reshape(us.shape)
+        x = _safeguarded_newton(dist, us.ravel()).reshape(us.shape)
     else:
         p = dist.params
         t = -np.log(us)
@@ -351,18 +354,21 @@ def ccdf_inverse(dist: TargetDistribution, u):
     return float(x[0]) if np.ndim(u) == 0 else x
 
 
-def _bisect(dist: TargetDistribution, u: np.ndarray) -> np.ndarray:
-    """Solve ccdf(x) = u at each value of a 1-d array u, by bracketing
-    bisection with Newton polish.
+def _safeguarded_newton(dist: TargetDistribution, u: np.ndarray) -> np.ndarray:
+    """Solve ccdf(x) = u at each value of a 1-d array u, by Newton steps
+    kept inside a bracket (the rtsafe scheme).
 
     Each value takes the steps it would take alone: its bracket [lo, hi]
     doubles from [0, 1] until ccdf(hi) <= u (NonConvergenceError once hi
-    overflows), is halved until its width is at most 1e-13 * max(hi, 1) or
-    200 times, and then up to 8 Newton steps polish its midpoint, stopping
-    at the first that leaves the bracket or moves x by at most 1e-12 x.
-    Each stage evaluates the CCDF, and the density, by one array call at
-    the values still moving. Requires a continuous, strictly decreasing
-    CCDF on the relevant range.
+    overflows), and x starts at its midpoint. Each step evaluates the CCDF
+    and the density at x, moves lo or hi to x by the sign of ccdf(x) - u,
+    and takes the Newton step where it lands strictly inside the bracket,
+    the bracket's midpoint otherwise. A value stops after a Newton step of
+    at most 1e-12 x (taken wherever it lands: below half an ulp of x it
+    leaves x on the end just moved), after a midpoint step that leaves a
+    width of at most 1e-13 * max(hi, 1), or after 200 steps. Each step
+    evaluates by one array call at the values still moving. Requires a
+    continuous, strictly decreasing CCDF on the relevant range.
     """
     hi = np.ones_like(u)
     live = np.arange(u.size)
@@ -376,38 +382,30 @@ def _bisect(dist: TargetDistribution, u: np.ndarray) -> np.ndarray:
             raise NonConvergenceError(
                 f"ccdf stays above u={u[live][np.isinf(hi[live])][0]} up to "
                 "the largest float")
-    lo = np.where(hi > 1.0, 0.5 * hi, 0.0)
 
-    # The values still halving, compacted: a, b and ul hold their
-    # brackets and levels, and each bracket is stored when it is done.
-    live, a, b, ul = np.arange(u.size), lo, hi, u
+    # The values still moving, compacted: a, b, xl and ul hold their
+    # brackets, iterates and levels, and each x is stored when it is done.
+    x = np.empty_like(u)
+    a = np.where(hi > 1.0, 0.5 * hi, 0.0)
+    live, b, ul = np.arange(u.size), hi, u
+    xl = 0.5 * (a + b)
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        above = ccdf(dist, mid) > ul
-        a, b = np.where(above, mid, a), np.where(above, b, mid)
-        done = b - a <= 1e-13 * np.maximum(b, 1.0)
-        lo[live[done]], hi[live[done]] = a[done], b[done]
-        live, a, b, ul = live[~done], a[~done], b[~done], ul[~done]
+        f = ccdf(dist, xl) - ul
+        a, b = np.where(f > 0.0, xl, a), np.where(f < 0.0, xl, b)
+        # A density of 0 or subnormal gives an infinite step: the midpoint.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = f / pdf(dist, xl)
+            xn = xl + step
+        small = np.abs(step) <= 1e-12 * xl
+        newton = small | ((a < xn) & (xn < b))
+        xl = np.where(newton, xn, 0.5 * (a + b))
+        done = np.where(newton, small, b - a <= 1e-13 * np.maximum(b, 1.0))
+        x[live[done]] = xl[done]
+        live, a, b, xl, ul = (live[~done], a[~done], b[~done], xl[~done],
+                              ul[~done])
         if not live.size:
             break
-    lo[live], hi[live] = a, b
-
-    x = 0.5 * (lo + hi)
-    live = np.arange(u.size)
-    for _ in range(8):
-        if not live.size:
-            break
-        xl = x[live]
-        fx = ccdf(dist, xl) - u[live]
-        dfx = -pdf(dist, xl)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = fx / dfx
-        x_new = xl - step
-        ok = ((dfx != 0.0) & np.isfinite(dfx)
-              & (lo[live] <= x_new) & (x_new <= hi[live]))
-        live, x_new, step = live[ok], x_new[ok], step[ok]
-        x[live] = x_new
-        live = live[np.abs(step) > 1e-12 * np.maximum(x_new, 1e-300)]
+    x[live] = xl
     return x
 
 

@@ -142,6 +142,8 @@ CASES = {
     "fit-tail-window-infinite": (["fit", *PARETO, "--no-optimize",
                                   "--tail-window", "1,inf"], 2),
     "fit-weights-nan": (["fit", *PARETO, "--weights", "nan,1,1"], 2),
+    "fit-pareto-0.3-body-edge-above-grid": (["fit", "--target", "pareto",
+                                             "--shape", "0.3"], 2),
     "fit-k-50-points-collide": (["fit", *PARETO, "--k", "50",
                                  "--max-iters", "2"], 3),
     "fit-lognormal-1-1": (["fit", "--target", "lognormal", "--mu", "1",
@@ -157,7 +159,10 @@ CASES = {
 }
 
 # The whole stderr line of the rows whose message is pinned too.
-MESSAGES = {"fit-k-50-points-collide":
+MESSAGES = {"fit-pareto-0.3-body-edge-above-grid":
+            "the target CCDF stays above 0.005 up to the grid top 1e+06; "
+            "set --tail-window",
+            "fit-k-50-points-collide":
             "fit failed: fit points must be pairwise distinct"}
 
 

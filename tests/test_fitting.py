@@ -11,6 +11,7 @@ import pytest
 
 from heavytail_ph import fitting, phmodel
 from heavytail_ph import targets as targets_mod
+from heavytail_ph.errors import ConfigError
 from heavytail_ph.optimizer import AdamConfig, EvalGrid, LossEvaluator
 
 
@@ -34,6 +35,18 @@ def test_body_scale_places_edge(pareto):
     edge = s * np.log(100)
     assert targets_mod.ccdf(pareto, edge) == pytest.approx(
         fitting.BODY_EDGE_CCDF_LEVEL, rel=1e-8)
+
+
+def test_body_edge_above_the_grid_top_is_a_config_error():
+    # [DERIVED] Pareto(0.3) reaches the body-edge level 5e-3 at
+    # x = 200^(1/0.3) - 1, about 4.6e7, above the default grid top 1e6, so
+    # the default HE points have no span to start from.
+    dist = targets_mod.TargetDistribution(kind="pareto", params={"shape": 0.3})
+    with pytest.raises(ConfigError, match="stays above 0.005 up to the grid "
+                       r"top 1e\+06"):
+        fitting.fit_bph_he(dist)
+    assert fitting.fit_bph_he(dist, init_points=[1e3, 1e4],
+                              run_optimizer=False).hybrid.he.k == 1
 
 
 def test_fit_bph_report_consistent(pareto):

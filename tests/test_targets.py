@@ -8,6 +8,7 @@ for the windowed statistics.
 
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -132,8 +133,8 @@ def bisect_oracle(ccdf, pdf, u):
     """x with ccdf(x) = u for float functions ccdf and pdf, one value at a
     time: the bracket doubles from [0, 1], is halved to a width of
     1e-13 * max(hi, 1) (at most 200 times), and up to 8 Newton steps that
-    stay inside it polish the midpoint: the steps `targets._bisect` takes
-    for every value of an array at once."""
+    stay inside it polish the midpoint. An oracle for the closed-form
+    inverses, on the float CCDF and density alone."""
     lo, hi = 0.0, 1.0
     while ccdf(hi) > u:
         lo, hi = hi, hi * 2.0
@@ -164,22 +165,8 @@ def bisect_oracle(ccdf, pdf, u):
 
 
 def float_functions(dist):
-    """The target's CCDF and density on floats. For Lognormal, the `math`
-    forms (the C library's erfc), independent of the package's numpy erfc."""
-    if dist.kind != "lognormal":
-        return (lambda x: targets.ccdf(dist, x),
-                lambda x: targets.pdf(dist, x))
-    mu, sigma = dist.params["mu"], dist.params["sigma"]
-
-    def ccdf(x):
-        if x == 0.0:
-            return 1.0
-        return 0.5 * math.erfc((math.log(x) - mu) / sigma / math.sqrt(2.0))
-
-    def pdf(x):
-        z = (math.log(x) - mu) / sigma
-        return math.exp(-0.5 * z * z) / (x * sigma * math.sqrt(2.0 * math.pi))
-    return ccdf, pdf
+    """The target's CCDF and density on floats."""
+    return (lambda x: targets.ccdf(dist, x), lambda x: targets.pdf(dist, x))
 
 
 _CLOSED_FORM_TARGETS = [
@@ -192,7 +179,7 @@ _CLOSED_FORM_TARGETS = [
     TargetDistribution(kind="weibull", params={"scale": 0.3, "shape": 3.0}),
 ]
 _COARSE_TABLE = ((0.5, 2.0, 10.0, 40.0), (0.9, 0.4, 0.05, 0.004))
-_BISECTED_TARGETS = [
+_SOLVED_TARGETS = [
     TargetDistribution(kind="lognormal", params={"mu": 1.0, "sigma": 2.0}),
     TargetDistribution(kind="lognormal", params={"mu": -2.0, "sigma": 0.2}),
     TargetDistribution(kind="lognormal", params={"mu": 3.0, "sigma": 3.0}),
@@ -215,18 +202,51 @@ def test_closed_form_inverse_matches_bisection(dist):
     assert xs.tolist() == [targets.ccdf_inverse(dist, u) for u in us.tolist()]
 
 
-@pytest.mark.parametrize("dist", _BISECTED_TARGETS, ids=_ids)
+def _table_inverse(table, u):
+    """x where the table's log-linear interpolant, or past its last row the
+    power law through its last two rows, equals u (u below the first row's
+    CCDF): the interpolation of x against log ccdf, read backwards."""
+    tx, cc = (np.asarray(c, dtype=float) for c in table)
+    slope = math.log(cc[-1] / cc[-2]) / math.log(tx[-1] / tx[-2])
+    return np.where(u < cc[-1], tx[-1] * (u / cc[-1]) ** (1.0 / slope),
+                    np.interp(np.log(u), np.log(cc[::-1]), tx[::-1]))
+
+
+@pytest.mark.parametrize("dist", _SOLVED_TARGETS, ids=_ids)
 def test_array_bisection_matches_one_value_at_a_time(dist):
-    # [ORACLE] the same bisection one value at a time, on the C library's
-    # erfc for Lognormal. For the table, u above 0.9 has no solution: its
-    # CCDF jumps from 1 at 0 to 0.9, and both return a point within 1e-13
-    # of 0. An array of u gives the float results, value by value (checked
-    # on every 8th, as each float call costs a whole bisection).
+    # [ORACLE] independent of the solver's path:
+    # - Lognormal, u <= 0.5: the exact inverse exp(mu - sigma Phi^-1(u)), to
+    #   1e-12 relative.
+    # - Lognormal, u > 0.5: near u = 1 the CCDF is 1 - O(1e-12) and rounds,
+    #   which moves its exact inverse by up to 2e-5 relative here, so the check
+    #   is the residual: |ccdf(x) - u| <= 2^-50, the 4-ulp error of the
+    #   erfc on [1, 2) (2^-51 after halving) at the solver's last point and
+    #   at the check's own.
+    # - Table: the closed-form inverse of its interpolant, also at its rows
+    #   (kinks, where the central-difference density mixes two slopes and
+    #   Newton converges only linearly), to 2e-12 relative. Above u = 0.9
+    #   there is no solution (the CCDF jumps from 1 at 0 to 0.9): x must be
+    #   a point within 1e-13 of 0.
+    # An array of u gives the float results, value by value (checked on
+    # every 8th u), and a 2-d array the same values.
     tail = np.geomspace(1e-12, 0.5, 200)
     us = np.concatenate([tail, 1.0 - tail])
     xs = targets.ccdf_inverse(dist, us)
-    ref = [bisect_oracle(*float_functions(dist), u) for u in us.tolist()]
-    np.testing.assert_allclose(xs, ref, rtol=1e-10, atol=0.0)
+    if dist.kind == "lognormal":
+        mu, sigma = dist.params["mu"], dist.params["sigma"]
+        ref = [math.exp(mu - sigma * NormalDist().inv_cdf(u))
+               for u in tail.tolist()]
+        np.testing.assert_allclose(xs[:200], ref, rtol=1e-12, atol=0.0)
+        assert np.abs(targets.ccdf(dist, xs[200:]) - us[200:]).max() <= 2**-50
+    else:
+        rows = np.asarray(dist.table[1][1:])
+        levels = np.concatenate([us[us < 0.9], rows,
+                                 np.nextafter(rows, 0.0),
+                                 np.nextafter(rows, 1.0)])
+        np.testing.assert_allclose(targets.ccdf_inverse(dist, levels),
+                                   _table_inverse(dist.table, levels),
+                                   rtol=2e-12, atol=0.0)
+        assert np.all((xs[us > 0.9] > 0.0) & (xs[us > 0.9] <= 1e-13))
     assert xs[::8].tolist() == [targets.ccdf_inverse(dist, u)
                                 for u in us[::8].tolist()]
     assert np.array_equal(targets.ccdf_inverse(dist, us.reshape(20, 20)),
@@ -234,8 +254,10 @@ def test_array_bisection_matches_one_value_at_a_time(dist):
 
 
 def test_lognormal_inverse_takes_the_array_path(monkeypatch):
-    # 10,000 draws cost one CCDF call per step of the bisection (60 here),
-    # where one draw alone costs 46, and the first call holds every draw.
+    # 10,000 draws cost one CCDF call per step of the slowest draw (27
+    # here), where one draw alone costs 8 on average and at most 19, and
+    # the first call holds every draw. The CCDF values evaluated count the
+    # work: 8.7 per draw here, 47.8 for a bisection to 1e-13 relative.
     dist = TargetDistribution(kind="lognormal",
                               params={"mu": 1.0, "sigma": 2.0})
     calls = []
@@ -246,6 +268,22 @@ def test_lognormal_inverse_takes_the_array_path(monkeypatch):
     targets.ccdf_inverse(dist, us)
     assert len(calls) <= 400
     assert max(calls) == us.size
+    assert sum(calls) <= 16 * us.size
+
+
+@pytest.mark.filterwarnings("error")
+def test_subnormal_density_gives_a_midpoint_step():
+    # [ORACLE] exp(mu - sigma Phi^-1(u)). Lognormal(-4.5, 0.1) starts every
+    # draw at x = 0.5, where z = 38 and the density is subnormal (1e-314):
+    # the Newton step overflows, without a warning, and the midpoint is
+    # taken instead.
+    dist = TargetDistribution(kind="lognormal",
+                              params={"mu": -4.5, "sigma": 0.1})
+    us = np.geomspace(1e-12, 0.5, 50)
+    ref = [math.exp(-4.5 - 0.1 * NormalDist().inv_cdf(u))
+           for u in us.tolist()]
+    np.testing.assert_allclose(targets.ccdf_inverse(dist, us), ref,
+                               rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.filterwarnings("error")
