@@ -11,10 +11,10 @@ segments of log x, halving those that differ by more than MOMENT_REL_TOL of
 the whole integral (see numeric_moment).
 
 ccdf, pdf and ccdf_inverse take a float, returning a float, or an array,
-returning an array. Every kind evaluates through numpy (Lognormal by a
-numpy port of the C library's erfc). Pareto, Weibull and Burr invert in
-closed form; Lognormal and tabulated targets by Newton steps kept inside a
-bracket, over the whole array of draws at once.
+returning an array. Every kind evaluates through numpy, the Lognormal
+CCDF with the C library's erfc value by value. Pareto, Weibull and Burr
+invert in closed form; Lognormal and tabulated targets by Newton steps kept
+inside a bracket, over the whole array of draws at once.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class TargetDistribution:
                     "differ and the next-to-last x must be positive")
             object.__setattr__(self, "table", (xs, cc))
         else:
-            if self.kind != "tabulated" and self.table is not None:
+            if self.table is not None:
                 raise ValueError("only tabulated targets carry a table")
             missing = [p for p in PARAM_NAMES[self.kind] if p not in self.params]
             if missing:
@@ -153,14 +153,18 @@ def ccdf(dist: TargetDistribution, x):
     """Complementary CDF of the target at x >= 0 (ValueError below): a
     float for a float x, an array of x's shape for an array.
 
-    Every kind evaluates through numpy, a float as an array of one value,
+    A float evaluates as an array of one value, and each value takes the
+    same path whatever array holds it (the Lognormal erfc, which numpy
+    lacks, and the tabulated power tail by the C library, value by value),
     so each value of an array call equals the float call.
     """
     p = dist.params
     xs, scalar = as_grid(x)
     if dist.kind == "lognormal":
         with np.errstate(divide="ignore"):  # log 0 = -inf, erfc(-inf) = 2
-            out = 0.5 * _erfc((np.log(xs) - p["mu"]) / p["sigma"] / _ROOT2)
+            z = (np.log(xs) - p["mu"]) / p["sigma"] / _ROOT2
+        out = 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float,
+                                z.size).reshape(z.shape)
     elif dist.kind == "pareto":
         out = (1.0 + xs) ** -p["shape"]
     elif dist.kind == "burr":
@@ -210,93 +214,6 @@ def pdf(dist: TargetDistribution, x):
             out = np.maximum((ccdf(dist, lo) - ccdf(dist, xs + h))
                              / (xs + h - lo), 0.0)
     return float(out[0]) if scalar else out
-
-
-# erfc by fdlibm's s_erf.c (Sun Microsystems, 1993): rational
-# approximations on |z| < 0.84375, < 1.25, < 1/0.35 and < 28, the last two
-# as e^(-z^2 - 0.5625 + R/S) / |z|. Coefficients are fdlibm's; _poly
-# groups the terms as the GNU C library's version does, with which the
-# first two ranges then agree bit for bit.
-_ERX = 8.45062911510467529297e-01
-_PP = (1.28379167095512558561e-01, -3.25042107247001499370e-01,
-       -2.84817495755985104766e-02, -5.77027029648944159157e-03,
-       -2.37630166566501626084e-05)
-_QQ = (1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02,
-       5.08130628187576562776e-03, 1.32494738004321644526e-04,
-       -3.96022827877536812320e-06)
-_PA = (-2.36211856075265944077e-03, 4.14856118683748331666e-01,
-       -3.72207876035701323847e-01, 3.18346619901161753674e-01,
-       -1.10894694282396677476e-01, 3.54783043256182359371e-02,
-       -2.16637559486879084300e-03)
-_QA = (1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01,
-       7.18286544141962662868e-02, 1.26171219808761642112e-01,
-       1.36370839120290507362e-02, 1.19844998467991074170e-02)
-_RA = (-9.86494403484714822705e-03, -6.93858572707181764372e-01,
-       -1.05586262253232909814e+01, -6.23753324503260060396e+01,
-       -1.62396669462573470355e+02, -1.84605092906711035994e+02,
-       -8.12874355063065934246e+01, -9.81432934416914548592e+00)
-_SA = (1.0, 1.96512716674392571292e+01, 1.37657754143519042600e+02,
-       4.34565877475229228821e+02, 6.45387271733267880336e+02,
-       4.29008140027567833386e+02, 1.08635005541779435134e+02,
-       6.57024977031928170135e+00, -6.04244152148580987438e-02)
-_RB = (-9.86494292470009928597e-03, -7.99283237680523006574e-01,
-       -1.77579549177547519889e+01, -1.60636384855821916062e+02,
-       -6.37566443368389627722e+02, -1.02509513161107724954e+03,
-       -4.83519191608651397019e+02)
-_SB = (1.0, 3.03380607434824582924e+01, 3.25792512996573918826e+02,
-       1.53672958608443695994e+03, 3.19985821950859553908e+03,
-       2.55305040643316442583e+03, 4.74528541206955367215e+02,
-       -2.24409524465858183362e+01)
-# The break between the last two ranges, 1/0.35 cut to its high 32 bits.
-_Z_RB = float(np.uint64(0x4006DB6D << 32).view(np.float64))
-_HIGH_WORD = np.uint64(0xFFFFFFFF << 32)
-
-
-def _poly(s: np.ndarray, coef: tuple) -> np.ndarray:
-    """Sum of s^(2k) * (coef[2k] + s * coef[2k + 1]) over k = 0, 1, ...,
-    added in that order, with s^4 = (s^2)^2, s^6 = s^4 * s^2 and
-    s^8 = (s^4)^2; an odd last coefficient stands alone."""
-    s2 = s * s
-    s4 = s2 * s2
-    out = coef[0] + s * coef[1]
-    for k, power in zip(range(2, len(coef), 2), (s2, s4, s4 * s2, s4 * s4)):
-        pair = coef[k] + s * coef[k + 1] if k + 1 < len(coef) else coef[k]
-        out = out + power * pair
-    return out
-
-
-# A numpy port, not math.erfc mapped value by value, which raised the
-# validate benchmark's op_ref 7% (2 cores). Its numpy calls release the
-# GIL, but simulate's threads gain nothing from that on 2 cores: simulate
-# --target lognormal with that benchmark's arguments takes 0.16-0.19 s on
-# one simulation thread and on two alike.
-def _erfc(z: np.ndarray) -> np.ndarray:
-    """erfc at each value of a float array: 2 below -6 (and at -inf), 0
-    from 28 up, NaN for NaN; within 4 ulp of the C library's erfc where
-    that is a normal float."""
-    a = np.abs(z)
-    # The values for |z| >= 28 and NaN; the ranges below overwrite the rest.
-    out = np.where(z < 0.0, 2.0, np.where(np.isnan(z), z, 0.0))
-    near = a < 0.84375
-    t = z[near]
-    y = _poly(t * t, _PP) / _poly(t * t, _QQ)
-    out[near] = np.where(t < 0.25, 1.0 - (t + t * y),
-                         0.5 - (t * y + (t - 0.5)))
-    mid = (a >= 0.84375) & (a < 1.25)
-    s = a[mid] - 1.0
-    q = _poly(s, _PA) / _poly(s, _QA)
-    out[mid] = np.where(z[mid] >= 0.0, (1.0 - _ERX) - q, 1.0 + (_ERX + q))
-    for far, r_coef, s_coef in (((a >= 1.25) & (a < _Z_RB), _RA, _SA),
-                                ((a >= _Z_RB) & (a < 28.0) & (z > -6.0),
-                                 _RB, _SB)):
-        x = a[far]
-        s = 1.0 / (x * x)
-        # x with the low 32 bits of its mantissa cleared: hi * hi is exact.
-        hi = (x.view(np.uint64) & _HIGH_WORD).view(np.float64)
-        r = np.exp(-hi * hi - 0.5625) * np.exp(
-            (hi - x) * (hi + x) + _poly(s, r_coef) / _poly(s, s_coef))
-        out[far] = np.where(z[far] > 0.0, r / x, 2.0 - r / x)
-    return out
 
 
 def _tabulated_ccdf(dist: TargetDistribution, x: np.ndarray) -> np.ndarray:
@@ -366,7 +283,7 @@ def _safeguarded_newton(dist: TargetDistribution, u: np.ndarray) -> np.ndarray:
     the bracket's midpoint otherwise. A value stops after a Newton step of
     at most 1e-12 x (taken wherever it lands: below half an ulp of x it
     leaves x on the end just moved), after a midpoint step that leaves a
-    width of at most 1e-13 * max(hi, 1), or after 200 steps. Each step
+    width of at most 1e-13 * hi, or after 200 steps. Each step
     evaluates by one array call at the values still moving. Requires a
     continuous, strictly decreasing CCDF on the relevant range.
     """
@@ -399,7 +316,7 @@ def _safeguarded_newton(dist: TargetDistribution, u: np.ndarray) -> np.ndarray:
         small = np.abs(step) <= 1e-12 * xl
         newton = small | ((a < xn) & (xn < b))
         xl = np.where(newton, xn, 0.5 * (a + b))
-        done = np.where(newton, small, b - a <= 1e-13 * np.maximum(b, 1.0))
+        done = np.where(newton, small, b - a <= 1e-13 * b)
         x[live[done]] = xl[done]
         live, a, b, xl, ul = (live[~done], a[~done], b[~done], xl[~done],
                               ul[~done])

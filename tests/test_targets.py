@@ -90,6 +90,20 @@ def test_lognormal_median(lognormal):
     assert targets.ccdf(lognormal, math.e) == pytest.approx(0.5, rel=1e-12)
 
 
+def test_lognormal_ccdf_limits():
+    # [DERIVED] erfc(z) rounds to 2 at and below z = -6 and to 0 from
+    # z = 28 up, where z = (log x - mu) / (sigma sqrt 2): the CCDF is
+    # exactly 1 and 0 there, also at x = 0 and x = inf. NaN stays NaN, and
+    # a 2-d array keeps its shape.
+    dist = TargetDistribution(kind="lognormal",
+                              params={"mu": 0.0, "sigma": 1.0})
+    z = np.array([[-6.0, -6.5, -27.0, -30.0], [28.0, 30.0, 100.0, 300.0]])
+    got = targets.ccdf(dist, np.exp(z * math.sqrt(2.0)))
+    assert got.tolist() == [[1.0] * 4, [0.0] * 4]
+    assert targets.ccdf(dist, np.array([0.0, np.inf])).tolist() == [1.0, 0.0]
+    assert math.isnan(targets.ccdf(dist, math.nan))
+
+
 def test_negative_x_rejected(pareto):
     for op in (targets.ccdf, targets.pdf):
         with pytest.raises(ValueError):
@@ -219,9 +233,9 @@ def test_array_bisection_matches_one_value_at_a_time(dist):
     #   1e-12 relative.
     # - Lognormal, u > 0.5: near u = 1 the CCDF is 1 - O(1e-12) and rounds,
     #   which moves its exact inverse by up to 2e-5 relative here, so the check
-    #   is the residual: |ccdf(x) - u| <= 2^-50, the 4-ulp error of the
-    #   erfc on [1, 2) (2^-51 after halving) at the solver's last point and
-    #   at the check's own.
+    #   is the residual: |ccdf(x) - u| <= 2^-50. That allows for the CCDF's
+    #   step between adjacent floats x, up to x pdf(x) 2^-52 = 2^-51 for
+    #   Lognormal(-2, 0.2), and for its rounding, 2^-54 near 1.
     # - Table: the closed-form inverse of its interpolant, also at its rows
     #   (kinks, where the central-difference density mixes two slopes and
     #   Newton converges only linearly), to 2e-12 relative. Above u = 0.9
@@ -298,45 +312,21 @@ def test_unreachable_level_in_an_array_raises():
         targets.ccdf_inverse(dist, np.array([0.5, 0.1, 0.29995]))
 
 
-def test_erfc_matches_the_c_library():
-    # [ORACLE] math.erfc on 1.36 million points of [-7, 27], the last
-    # 20,001 in its subnormal tail past 26.5: within 4 ulp where it is a
-    # normal float, and within 4 subnormal steps (4.9e-324 each) below.
-    z = np.concatenate([np.linspace(-7.0, 27.0, 1_340_001),
-                        np.linspace(26.5, 27.3, 20_001)])
-    got = targets._erfc(z)
-    ref = np.array([math.erfc(v) for v in z.tolist()])
-    normal = ref >= np.finfo(float).tiny
-    assert (~normal).sum() > 20_000
-    ulps = np.abs(got - ref) / np.spacing(ref)
-    assert ulps[normal].max() <= 4.0
-    assert np.abs(got - ref)[~normal].max() <= 4 * 5e-324
-    assert np.mean(got == ref) > 0.9
-
-
-def test_erfc_limits():
-    # [DERIVED] erfc is 2 at and below -6 and 0 from 28 up in doubles; NaN
-    # stays NaN.
-    low = np.array([-6.0, -6.5, -27.0, -30.0, -1e300, -np.inf])
-    high = np.array([28.0, 30.0, 1e300, np.inf])
-    assert np.all(targets._erfc(low) == 2.0)
-    assert np.all(targets._erfc(high) == 0.0)
-    assert np.isnan(targets._erfc(np.array([np.nan, 1.0])))[0]
-    assert targets._erfc(np.array([0.0, -0.0])).tolist() == [1.0, 1.0]
-
-
 @pytest.mark.parametrize("kind, params", [
     ("weibull", {"scale": 5.0, "shape": 0.2}),
     ("burr", {"c": 0.5, "d": 1.0}),
-], ids=["weibull-5-0.2", "burr-0.5-1"])
+    ("lognormal", {"mu": 0.0, "sigma": 10.0}),
+], ids=["weibull-5-0.2", "burr-0.5-1", "lognormal-0-10"])
 def test_inverse_near_one_is_exact(kind, params):
-    # [DERIVED] x is about 5e-60 for this Weibull and 1e-24 for this Burr.
-    # The bisection, which stops at an absolute width of 1e-13 below
-    # x = 1, gives 2.8e-14 for the Weibull, whose CCDF there is 0.9986.
+    # [DERIVED] at u = 1 - 1e-12, x is about 5e-60 for this Weibull, 1e-24
+    # for this Burr and 2.8e-31 for this Lognormal (2.3e-21 at 1 - 1e-6).
+    # A solver that stops at an absolute width of 1e-13 below x = 1 returns
+    # about 2.8e-14, where this Weibull's CCDF is 0.9986 and this
+    # Lognormal's is 1 - 9.1e-4.
     dist = TargetDistribution(kind=kind, params=params)
-    u = 1.0 - 1e-12
-    x = targets.ccdf_inverse(dist, u)
-    assert abs(targets.ccdf(dist, x) - u) <= 1e-15
+    for u in (1.0 - 1e-12, 1.0 - 1e-6):
+        x = targets.ccdf_inverse(dist, u)
+        assert abs(targets.ccdf(dist, x) - u) <= 2**-50
 
 
 def test_burr_inverse_past_the_exponential_overflow():
