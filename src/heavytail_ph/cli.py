@@ -223,10 +223,8 @@ _FIT_OPTIONS = [
                  default=AdamConfig().learning_rate,
                  callback=_finite_option),
     click.option("--max-iters", type=int, default=AdamConfig().max_iters,
-                 show_default=True),
-    click.option("--seed", type=int, default=0, show_default=True),
-    click.option("--no-optimize", is_flag=True,
-                 help="Use the default fit points verbatim."),
+                 show_default=True,
+                 help="Adam steps; 0 scores the start points only."),
     click.option("--no-adjust-mean", is_flag=True,
                  help="Skip the final rescale to the window-numeric mean."),
 ]
@@ -241,7 +239,7 @@ target_options = _options(_TARGET_OPTIONS)
 fit_options = _options(_FIT_OPTIONS)
 
 
-def _fit_config(target, methods, k, n, grid_size, grid_window, tail_window,
+def _fit_config(target, methods, k, grid_size, grid_window, tail_window,
                 weights, lr, max_iters):
     """Validate the fit options up front; each bad value is a usage error."""
     # The hybrid's tail needs 2k >= 2 fit points; the complete HE fit
@@ -267,7 +265,7 @@ def _fit_config(target, methods, k, n, grid_size, grid_window, tail_window,
 
 
 def _run_fit(target, method, k, n, grid, tail, loss_weights, adam,
-             no_optimize, adjust_mean=True):
+             adjust_mean=True):
     if method == "bph":
         return fitting.fit_bph(target, n=n, grid=grid,
                                adjust_mean=adjust_mean)
@@ -278,9 +276,7 @@ def _run_fit(target, method, k, n, grid, tail, loss_weights, adam,
     init = pow2_points(2 * k, *tail) if tail else None
     return fitting.fit_bph_he(target, k=k, n=n, grid=grid,
                               weights=loss_weights, adam=adam,
-                              init_points=init,
-                              run_optimizer=not no_optimize,
-                              adjust_mean=adjust_mean)
+                              init_points=init, adjust_mean=adjust_mean)
 
 
 # -- commands -------------------------------------------------------------
@@ -310,20 +306,21 @@ def main():
 
 @main.command("fit")
 @target_options
-@click.option("--method", type=click.Choice(["bph", "he", "bph_he"]),
+@click.option("--method", type=click.Choice(list(fitting.FIT_METHODS)),
               default="bph_he", show_default=True)
 @fit_options
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Recorded in the manifest; no fit is random.")
 @click.option("--trace-csv", is_flag=True,
               help="Also dump the optimizer loss trace as CSV.")
 @click.option("--out", default=".", show_default=True,
               help="Output directory.")
 def cmd_fit(method, k, n, grid_size, grid_window, tail_window, weights, lr,
-            max_iters, seed, no_optimize, no_adjust_mean, trace_csv, out,
-            **target_args):
+            max_iters, no_adjust_mean, seed, trace_csv, out, **target_args):
     """Fit a model and write model.json plus a fit report."""
     target, inputs = _resolve_target(**target_args)
     loss_weights, adam, grid, tail = _fit_config(
-        target, [method], k, n, grid_size, grid_window, tail_window, weights,
+        target, [method], k, grid_size, grid_window, tail_window, weights,
         lr, max_iters)
     config = {"target": target.to_dict(), "method": method, "k": k,
               "bph_order": n, "grid_size": grid_size,
@@ -331,11 +328,11 @@ def cmd_fit(method, k, n, grid_size, grid_window, tail_window, weights, lr,
               "tail_window": list(tail) if tail else None,
               "weights": [loss_weights.w_mae, loss_weights.w_lambda,
                           loss_weights.w_p],
-              "lr": lr, "max_iters": max_iters, "no_optimize": no_optimize,
+              "lr": lr, "max_iters": max_iters,
               "adjust_mean": not no_adjust_mean}
     run = Run("fit", config, out, seed=seed, inputs=inputs)
     outcome = _run_fit(target, method, k, n, grid, tail, loss_weights, adam,
-                       no_optimize, adjust_mean=not no_adjust_mean)
+                       adjust_mean=not no_adjust_mean)
     outcome.model.save(run.out / "model.json")
     run.outputs[str(run.out / "model.json")] = _sha256(run.out / "model.json")
     run.write_json("report.json", outcome.report.to_dict())
@@ -393,8 +390,7 @@ def cmd_eval(model_path, grid_spec, log_grid, out):
 @click.option("--methods", default="bph,he,bph_he", show_default=True)
 @click.option("--out", default=".", show_default=True)
 def cmd_compare(k, n, grid_size, grid_window, tail_window, weights, lr,
-                max_iters, seed, no_optimize, no_adjust_mean, methods, out,
-                **target_args):
+                max_iters, no_adjust_mean, methods, out, **target_args):
     """Fit several methods on one target and tabulate their statistics."""
     target, inputs = _resolve_target(**target_args)
     method_list = [m.strip() for m in methods.split(",") if m.strip()]
@@ -402,20 +398,18 @@ def cmd_compare(k, n, grid_size, grid_window, tail_window, weights, lr,
         raise click.UsageError("--methods must name one or more of "
                                + ", ".join(fitting.FIT_METHODS))
     loss_weights, adam, grid, tail = _fit_config(
-        target, method_list, k, n, grid_size, grid_window, tail_window,
+        target, method_list, k, grid_size, grid_window, tail_window,
         weights, lr, max_iters)
 
     run = Run("compare", {"target": target.to_dict(), "methods": method_list,
-                          "k": k, "bph_order": n}, out, seed=seed,
-              inputs=inputs)
+                          "k": k, "bph_order": n}, out, inputs=inputs)
     rows = []
     header = ["method", "mae", "mean_real", "mean_approx", "cv_real",
               "cv_approx"]
     for name in method_list:
         try:
             outcome = _run_fit(target, name, k, n, grid, tail, loss_weights,
-                               adam, no_optimize,
-                               adjust_mean=not no_adjust_mean)
+                               adam, adjust_mean=not no_adjust_mean)
             rep = outcome.report
             rows.append([name, f"{rep.mae:.6e}", f"{rep.mean_real:.6f}",
                          f"{rep.mean_approx:.6f}", f"{rep.cv_real:.6f}",
@@ -507,8 +501,7 @@ def cmd_simulate(model_path, lam, jobs, warmup, replications, seed, wait_grid,
               out, seed=seed, inputs=inputs)
     result = simqueue.run_mg1(config, service)
     doc = result.to_dict()
-    run.write_json("sim_metrics.json",
-                   {"estimates": doc["estimates"], "unstable": doc["unstable"]})
+    run.write_json("sim_metrics.json", doc)
     if curves:
         run.write_csv("sim_wait_ccdf.csv", ["x", "ccdf"],
                       [(f"{x:.12g}", f"{v:.12g}")

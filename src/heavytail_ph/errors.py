@@ -2,15 +2,7 @@
 
 
 class InvalidModelError(ValueError):
-    """A fitting step produced structurally invalid parameters.
-
-    Carries the recursion stage (1-based exponential-term index) at which
-    the violation occurred, when known.
-    """
-
-    def __init__(self, message, stage=None):
-        super().__init__(message)
-        self.stage = stage
+    """A fitting step produced structurally invalid parameters."""
 
 
 class ConfigError(ValueError):
@@ -26,4 +18,3 @@ class UnstableQueueError(ValueError):
 
     def __init__(self, rho):
         super().__init__(f"unstable queue: utilization {rho:.6f} >= 1")
-        self.rho = rho

@@ -9,6 +9,7 @@ capped at the window edge), and the evaluation grid spans the same range.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -18,8 +19,8 @@ from . import hefit, phmodel
 from . import targets as targets_mod
 from .errors import ConfigError
 from .hybrid import HybridModel, assemble, build_hybrid, hybrid_ccdf
-from .optimizer import (AdamConfig, EvalGrid, LossBreakdown, LossWeights,
-                        optimize, pow2_points)
+from .optimizer import (AdamConfig, EvalGrid, LossWeights, optimize,
+                        pow2_points)
 from .phmodel import PhaseTypeModel
 
 DEFAULT_K = 4
@@ -56,15 +57,15 @@ class FitOutcome:
     trace: list = field(default_factory=list)
 
 
-def tail_window(target: targets_mod.TargetDistribution,
-                level: float = TAIL_CCDF_LEVEL) -> tuple[float, float]:
-    """Default span for HE fit points: median to the `level` CCDF quantile."""
+def tail_window(target: targets_mod.TargetDistribution
+                ) -> tuple[float, float]:
+    """HE fit-point span: median to the TAIL_CCDF_LEVEL quantile."""
     x_min, x_max = target.window
     lo = targets_mod.ccdf_inverse(target, 0.5)
-    if targets_mod.ccdf(target, x_max) >= level:
+    if targets_mod.ccdf(target, x_max) >= TAIL_CCDF_LEVEL:
         hi = x_max
     else:
-        hi = targets_mod.ccdf_inverse(target, level)
+        hi = targets_mod.ccdf_inverse(target, TAIL_CCDF_LEVEL)
     hi = min(hi, x_max)
     if lo <= 0 or lo >= hi:
         lo = hi * 1e-4
@@ -182,8 +183,7 @@ def fit_bph_he(target, k: int = DEFAULT_K, n: int = bph_mod.DEFAULT_ORDER,
                grid: EvalGrid | None = None,
                weights: LossWeights | None = None,
                adam: AdamConfig | None = None,
-               init_points=None, run_optimizer: bool = True,
-               adjust_mean: bool = True) -> FitOutcome:
+               init_points=None, adjust_mean: bool = True) -> FitOutcome:
     grid = grid or default_grid(target)
     weights = weights or LossWeights()
     adam = adam or AdamConfig()
@@ -205,8 +205,10 @@ def fit_bph_he(target, k: int = DEFAULT_K, n: int = bph_mod.DEFAULT_ORDER,
     # generator by s to return to target time.
     points = np.asarray(init_points, dtype=float) / s
     tgrid = EvalGrid(points=grid.points / s)
-    trace: list[LossBreakdown] = []
-    if run_optimizer and k > 0:
+    # The candidates build silently: only the returned model's build warns
+    # of a clamped residual.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "residual CCDF clamped")
         points, trace = optimize(target, n, tgrid, weights, adam, points,
                                  scale=s)
     return _hybrid_outcome(target, "bph_he", n, s, points, grid,

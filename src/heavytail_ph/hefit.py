@@ -142,7 +142,7 @@ def _check_stages(p: np.ndarray, lam: np.ndarray) -> None:
             problem = f"weight {p_i:.3e} outside (0,1]"
         else:
             continue
-        raise InvalidModelError(f"{problem} at stage {stage}", stage=stage)
+        raise InvalidModelError(f"{problem} at stage {stage}")
 
 
 def interpolation_system(pts, fx, p, lam):
@@ -186,7 +186,7 @@ def _newton(pts, fx, p, lam):
             break
         p, lam, r, jac, norm = p_t, lam_t, r_t, jac_t, norm_t
     raise InvalidModelError(
-        "interpolation solve did not converge for these points", stage=k)
+        "interpolation solve did not converge for these points")
 
 
 def _fit(pts, fx):
@@ -221,7 +221,7 @@ def fit_defective(points, fx) -> HyperExp:
     total = math.fsum(p)
     if total >= 1.0:
         raise InvalidModelError(
-            f"defective fit weights sum to {total:.6f} >= 1", stage=p.size)
+            f"defective fit weights sum to {total:.6f} >= 1")
     return HyperExp(p=p, lam=lam, tail_fit=TailFit(pts, fx, jac))
 
 

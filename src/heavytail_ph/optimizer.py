@@ -61,8 +61,8 @@ class AdamConfig:
     patience: int = 50
 
     def __post_init__(self):
-        if min(self.learning_rate, self.max_iters, self.patience) <= 0:
-            raise ValueError("Adam parameters must be positive")
+        if min(self.learning_rate, self.patience) <= 0 or self.max_iters < 0:
+            raise ValueError("need lr and patience > 0, max_iters >= 0")
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,8 @@ def optimize(target, n: int, grid: EvalGrid, weights: LossWeights,
              adam: AdamConfig, init, scale: float = 1.0
              ) -> tuple[np.ndarray, list[LossBreakdown]]:
     """Adam descent over the 2k log fit-points in scaled time, from the 2k
-    points `init` (see LossEvaluator); returns best-seen points and trace."""
+    points `init` (see LossEvaluator); returns the best-seen points and the
+    trace: the start's loss, then each step's (max_iters = 0: the start)."""
     init = np.asarray(init, dtype=float)
     if init.size < 2 or init.size % 2:
         raise ValueError("need an even number (2k >= 2) of initial points, "
@@ -275,28 +276,24 @@ def optimize(target, n: int, grid: EvalGrid, weights: LossWeights,
     m = np.zeros_like(u)
     v = np.zeros_like(u)
     trace = []
-    cur = evaluator(np.exp(u))
-    trace.append(cur)
-    best_loss, best_points = cur.total, np.exp(u)
+    best_loss, best_points = math.inf, None
     # Track the best *buildable* candidate separately: the raw penalty path
     # can report a deceptively low loss for points that cannot actually be
     # assembled into a hybrid, and those must not win the final selection.
-    if evaluator.last_build_ok:
-        best_valid_loss, best_valid_points = cur.total, np.exp(u)
-    else:
-        best_valid_loss, best_valid_points = math.inf, None
+    best_valid_loss, best_valid_points = math.inf, None
     stall = 0
 
-    for t in range(1, adam.max_iters + 1):
-        grad = evaluator.gradient()
-        if grad is None:
-            grad = _central_differences(evaluator, u)
-
-        m = _BETA1 * m + (1.0 - _BETA1) * grad
-        v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
-        m_hat = m / (1.0 - _BETA1 ** t)
-        v_hat = v / (1.0 - _BETA2 ** t)
-        u = u - adam.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
+    # Step 0 scores the start; each later step moves first.
+    for t in range(adam.max_iters + 1):
+        if t:
+            grad = evaluator.gradient()
+            if grad is None:
+                grad = _central_differences(evaluator, u)
+            m = _BETA1 * m + (1.0 - _BETA1) * grad
+            v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
+            m_hat = m / (1.0 - _BETA1 ** t)
+            v_hat = v / (1.0 - _BETA2 ** t)
+            u = u - adam.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
 
         cur = evaluator(np.exp(u))
         trace.append(cur)

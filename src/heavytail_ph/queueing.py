@@ -10,7 +10,7 @@ are cross-checked against the simulation oracle in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,8 +30,7 @@ class QueueMetrics:
     E_Nq: float
 
     def to_dict(self) -> dict:
-        return {"rho": self.rho, "E_S": self.E_S, "E_W": self.E_W,
-                "E_T": self.E_T, "E_N": self.E_N, "E_Nq": self.E_Nq}
+        return asdict(self)
 
 
 def pk_metrics(lam: float, m1: float, m2: float) -> QueueMetrics:

@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import targets as targets_mod
 from ._backend import lindley_waits
-
 from .phmodel import PhaseTypeModel, sample_with_rng
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -52,14 +51,9 @@ class SimResult:
     unstable: bool
 
     def to_dict(self) -> dict:
-        return {
-            "estimates": {k: {"mean": v[0], "halfwidth95": v[1]}
-                          for k, v in self.estimates.items()},
-            "wait_grid": self.wait_grid.tolist(),
-            "wait_ccdf": self.wait_ccdf.tolist(),
-            "qlen_pmf": self.qlen_pmf.tolist(),
-            "unstable": self.unstable,
-        }
+        return {"estimates": {k: {"mean": v[0], "halfwidth95": v[1]}
+                              for k, v in self.estimates.items()},
+                "unstable": self.unstable}
 
 
 def _max_workers() -> int:

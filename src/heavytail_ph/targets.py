@@ -249,7 +249,12 @@ def ccdf_inverse(dist: TargetDistribution, u):
     if not np.all((us > 0.0) & (us < 1.0)):
         raise ValueError(f"u must be in (0, 1), got {u}")
     if dist.kind in ("lognormal", "tabulated"):
-        x = _safeguarded_newton(dist, us.ravel()).reshape(us.shape)
+        # A table's CCDF falls from 1 at 0 straight to its first row's
+        # value: at or above that level x is the least positive float.
+        x = np.full(us.shape, math.ulp(0.0))
+        solve = us < (1.0 if dist.table is None else dist.table[1][0])
+        if solve.any():
+            x[solve] = _safeguarded_newton(dist, us[solve])
     else:
         p = dist.params
         t = -np.log(us)
@@ -341,8 +346,8 @@ def _gauss_legendre():
     return rules
 
 
-def numeric_moment(dist: TargetDistribution, order: int, window=None) -> float:
-    """k-th moment over the window, as k * integral of x^(k-1) * ccdf(x).
+def numeric_moment(dist: TargetDistribution, order: int) -> float:
+    """k-th moment over dist.window, as k * integral of x^(k-1) * ccdf(x).
 
     The integral is taken in u = log x, as k * integral of x^k * ccdf(x) du,
     on unit-width segments of [log x_min, log x_max]; a tabulated target
@@ -363,10 +368,7 @@ def numeric_moment(dist: TargetDistribution, order: int, window=None) -> float:
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    x_min, x_max = window if window is not None else dist.window
-    if not (0 <= x_min < x_max < math.inf):
-        raise ValueError(f"invalid window ({x_min}, {x_max})")
-
+    x_min, x_max = dist.window
     u_hi = math.log(x_max)
     if x_min > 0:
         u_lo, head = math.log(x_min), 0.0
@@ -420,10 +422,10 @@ def numeric_moment(dist: TargetDistribution, order: int, window=None) -> float:
         f"{_MAX_HALVINGS} halvings")
 
 
-def numeric_stats(dist: TargetDistribution, window=None):
-    """(mean, second moment, CV) of the target over the window."""
-    m1 = numeric_moment(dist, 1, window)
-    m2 = numeric_moment(dist, 2, window)
+def numeric_stats(dist: TargetDistribution):
+    """(mean, second moment, CV) of the target over its window."""
+    m1 = numeric_moment(dist, 1)
+    m2 = numeric_moment(dist, 2)
     var = m2 - m1 * m1
     if var < 0:
         if var < -1e-9 * m2:

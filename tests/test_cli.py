@@ -18,6 +18,7 @@ from click.testing import CliRunner
 
 from heavytail_ph import bph, cli, fitting, phmodel
 from heavytail_ph.optimizer import AdamConfig, LossWeights
+from heavytail_ph.targets import TargetDistribution
 
 
 @pytest.fixture()
@@ -78,7 +79,7 @@ def test_fit_failure_exit_code(runner, tmp_path):
     # optimizer: the fit must fail with the dedicated exit code.
     result = runner.invoke(cli.main, [
         "fit", "--target", "pareto", "--shape", "3.1", "--method", "bph_he",
-        "--k", "2", "--no-optimize", "--tail-window", "0.01,0.2",
+        "--k", "2", "--max-iters", "0", "--tail-window", "0.01,0.2",
         "--out", str(tmp_path)])
     assert result.exit_code == cli.EXIT_FIT_FAILURE
 
@@ -289,11 +290,51 @@ def test_compare_lists_methods(runner, tmp_path):
         assert float(r["mae"]) >= 0.0
 
 
-@pytest.mark.parametrize("option", [["--method", "bph"], ["--trace-csv"]],
-                         ids=["method", "trace-csv"])
+def test_compare_writes_a_failed_method_as_a_row(runner, tmp_path):
+    # Pareto(0.3) reaches the body-edge level above the grid top, so bph_he
+    # has no start; compare writes FAILED and the error's text in its row
+    # and goes on.
+    result = runner.invoke(cli.main, [
+        "compare", "--target", "pareto", "--shape", "0.3", "--max-iters", "2",
+        "--out", str(tmp_path)], catch_exceptions=False)
+    assert result.exit_code == 0
+    with open(tmp_path / "compare.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [r[0] for r in rows] == ["bph", "he", "bph_he"]
+    assert rows[2][1:3] == ["FAILED", "the target CCDF stays above 0.005 up "
+                            "to the grid top 1e+06; set --tail-window"]
+    assert "FAILED" not in rows[0] + rows[1]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["seed"] is None
+
+
+def test_zero_steps_fit_the_start_points(runner, tmp_path):
+    # --max-iters 0 scores the default points only: a one-row loss trace,
+    # and the points of the library's zero-step fit.
+    result = runner.invoke(cli.main, [
+        "fit", "--target", "pareto", "--shape", "3.1", "--k", "2",
+        "--bph-order", "40", "--grid-size", "128", "--max-iters", "0",
+        "--trace-csv", "--out", str(tmp_path)], catch_exceptions=False)
+    assert result.exit_code == 0
+    with open(tmp_path / "loss_trace.csv", newline="") as fh:
+        assert [r["iteration"] for r in csv.DictReader(fh)] == ["0"]
+    target = TargetDistribution(kind="pareto", params={"shape": 3.1})
+    lib = fitting.fit_bph_he(target, k=2, n=40,
+                             grid=fitting.default_grid(target, m=128),
+                             adam=AdamConfig(max_iters=0))
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["he_points"] == lib.report.he_points
+    assert "no_optimize" not in json.loads(
+        (tmp_path / "manifest.json").read_text())["config"]
+
+
+@pytest.mark.parametrize("option", [["--method", "bph"], ["--trace-csv"],
+                                    ["--seed", "1"]],
+                         ids=["method", "trace-csv", "seed"])
 def test_compare_rejects_fit_only_options(runner, tmp_path, option):
-    # compare fits every method in --methods and writes no loss trace, so
-    # these fit options are usage errors rather than silently ignored.
+    # compare fits every method in --methods, writes no loss trace and has
+    # no random input, so these fit options are usage errors rather than
+    # silently ignored.
     result = runner.invoke(cli.main, [
         "compare", "--target", "pareto", "--shape", "3.1", *option,
         "--out", str(tmp_path)])

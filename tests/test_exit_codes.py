@@ -139,7 +139,7 @@ CASES = {
                                "--sigma", "0"], 2),
     "fit-lr-nan": (["fit", *PARETO, "--lr", "nan"], 2),
     "fit-grid-window-nan": (["fit", *PARETO, "--grid-window", "0,nan"], 2),
-    "fit-tail-window-infinite": (["fit", *PARETO, "--no-optimize",
+    "fit-tail-window-infinite": (["fit", *PARETO, "--max-iters", "0",
                                   "--tail-window", "1,inf"], 2),
     "fit-weights-nan": (["fit", *PARETO, "--weights", "nan,1,1"], 2),
     "fit-pareto-0.3-body-edge-above-grid": (["fit", "--target", "pareto",
@@ -148,6 +148,11 @@ CASES = {
                                  "--max-iters", "2"], 3),
     "fit-lognormal-1-1": (["fit", "--target", "lognormal", "--mu", "1",
                            "--sigma", "1"], 3),
+    "fit-weibull-0.7-nonpositive-residual": (["fit", "--target", "weibull",
+                                              "--scale", "1", "--shape",
+                                              "0.7", "--max-iters", "2"], 3),
+    "fit-max-iters-negative": (["fit", *PARETO, "--max-iters", "-1"], 2),
+    "fit-max-iters-0": (["fit", *PARETO, "--max-iters", "0"], 0),
     "fit-lognormal-mu-0": (["fit", "--target", "lognormal", "--mu", "0",
                             "--sigma", "2", "--max-iters", "2"], 0),
     "simulate-lognormal-mu-negative": (["simulate", "--target", "lognormal",
@@ -163,7 +168,9 @@ MESSAGES = {"fit-pareto-0.3-body-edge-above-grid":
             "the target CCDF stays above 0.005 up to the grid top 1e+06; "
             "set --tail-window",
             "fit-k-50-points-collide":
-            "fit failed: fit points must be pairwise distinct"}
+            "fit failed: fit points must be pairwise distinct",
+            "fit-weibull-0.7-nonpositive-residual":
+            "fit failed: nonpositive residual at stage 4"}
 
 
 # The residual-clamp UserWarning of a failing fit is not under test here.
@@ -250,7 +257,7 @@ COMMANDS = st.one_of(
               _opt("--lr", ["0.05", "0", "nan"]),
               _opt("--weights", ["0.6,0.2,0.2", "nan,1,1"]),
               _opt("--tail-window", ["1,50", "5,1", "1,inf"]),
-              st.sampled_from([["--max-iters", "2"], ["--no-optimize"]])),
+              st.sampled_from([["--max-iters", "2"], ["--max-iters", "0"]])),
     st.tuples(st.just(["compare", *FIT_SIZE, "--max-iters", "2"]), TARGETS,
               _opt("--methods", ["bph,he", "bph_he", "bph,xyz", ","])),
     st.tuples(st.just(["eval", "--grid", "0:5:6", "--model"]),

@@ -6,6 +6,8 @@ CCDF comparisons on independent grids. Heavier full-default runs live in
 test_acceptance.py; here small orders keep things fast.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,20 @@ def test_body_edge_above_the_grid_top_is_a_config_error():
                        r"top 1e\+06"):
         fitting.fit_bph_he(dist)
     assert fitting.fit_bph_he(dist, init_points=[1e3, 1e4],
-                              run_optimizer=False).hybrid.he.k == 1
+                              adam=AdamConfig(max_iters=0)).hybrid.he.k == 1
+
+
+def test_only_the_returned_model_warns_of_a_clamped_residual():
+    # Thirty Adam steps on Weibull(1, 0.5) clamp the residual of 24
+    # candidates within tolerance, and that of the returned model. The
+    # candidates build silently: only the returned model's build may warn.
+    dist = targets_mod.TargetDistribution(kind="weibull",
+                                          params={"scale": 1.0, "shape": 0.5})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fitting.fit_bph_he(dist, adam=AdamConfig(max_iters=30))
+    clamps = [w for w in caught if "residual CCDF clamped" in str(w.message)]
+    assert len(clamps) <= 1
 
 
 def test_fit_bph_report_consistent(pareto):
@@ -106,8 +121,10 @@ def test_fit_bph_he_no_optimizer_uses_init(pareto):
     init = [8.67, 13.09, 24.5, 45.3, 94.1, 213.8, 591.2, 1375.1]
     s = fitting.body_scale(pareto, 100)
     out = fitting.fit_bph_he(pareto, k=4, n=100, init_points=init,
-                             run_optimizer=False)
-    # Points pass through untouched (up to the internal scale round trip).
+                             adam=AdamConfig(max_iters=0))
+    # Points pass through untouched (up to the internal scale and log
+    # round trips), and the trace holds the start's loss alone.
+    assert len(out.trace) == 1
     assert out.report.he_points == pytest.approx(init, rel=1e-12)
     assert out.model.is_proper
 
@@ -123,7 +140,7 @@ def test_fit_bph_he_cv_close(pareto):
     ("bph", {"n": 20}, ["kind", "order_bph", "terms_he", "body_scale",
                         "source_target"]),
     ("he", {"k": 2}, ["kind", "terms_he", "source_target"]),
-    ("bph_he", {"k": 1, "n": 20, "run_optimizer": False},
+    ("bph_he", {"k": 1, "n": 20, "adam": AdamConfig(max_iters=0)},
      ["kind", "order_bph", "terms_he", "he_points", "k", "n", "body_scale",
       "source_target"]),
 ], ids=["bph", "he", "bph_he"])

@@ -123,6 +123,26 @@ def test_bad_points_raise_invalid_model():
         hefit.fit_defective(*at(Fbar, [0.5, 1.0, 3.0, 6.0]))
 
 
+_MIX_PTS = np.array([0.5, 1.0, 2.0, 4.0])
+
+
+@pytest.mark.parametrize("points, values, message", [
+    # The first term, through x = 4 and 3, lies above the target at x = 2,
+    # so the second pair's residual is negative.
+    ([1.0, 2.0, 3.0, 4.0], [0.5, 0.14, 0.12, 0.1],
+     "nonpositive residual at stage 2"),
+    # A flat pair gives the rate log(1) = 0.
+    ([1.0, 2.0], [0.5, 0.5], r"nonpositive rate 0\.000e\+00 at stage 1"),
+    # [DERIVED] the exact fit of 0.6 e^-x + 0.6 e^-3x is that mixture:
+    # each weight lies in (0, 1], but they sum to 1.2.
+    (_MIX_PTS, 0.6 * np.exp(-_MIX_PTS) + 0.6 * np.exp(-3.0 * _MIX_PTS),
+     r"defective fit weights sum to 1\.200000 >= 1"),
+], ids=["residual", "rate", "weight-sum"])
+def test_defective_fit_names_the_invalid_stage(points, values, message):
+    with pytest.raises(InvalidModelError, match=f"^{message}$"):
+        hefit.fit_defective(points, values)
+
+
 def test_raw_fit_reports_nans_instead_of_raising():
     Fbar = lambda x: math.exp(-x * x)
     pts = [0.5, 1.0, 3.0, 6.0]

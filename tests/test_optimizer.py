@@ -48,6 +48,11 @@ def test_weights_must_be_nonnegative():
 def test_adam_config_validated():
     with pytest.raises(ValueError):
         AdamConfig(learning_rate=0.0)
+    with pytest.raises(ValueError):
+        AdamConfig(patience=0)
+    with pytest.raises(ValueError):
+        AdamConfig(max_iters=-1)
+    assert AdamConfig(max_iters=0).max_iters == 0
 
 
 def test_grid_must_increase():
@@ -162,6 +167,21 @@ def test_optimize_improves_and_returns_buildable(pareto):
     final = ev(pts)
     assert ev.last_build_ok  # returned points must be buildable
     assert final.total <= trace[0].total + 1e-15
+
+
+@pytest.mark.parametrize("buildable", [True, False],
+                         ids=["buildable", "unbuildable"])
+def test_zero_steps_return_the_start(pareto, grid, buildable):
+    # max_iters = 0 scores the start, buildable or not, and returns it (up
+    # to the round trip through log-points).
+    init = (np.asarray(GOOD_POINTS) * 1.35 if buildable
+            else pow2_points(8, 4.6, 1683.0))
+    pts, trace = optimize(pareto, 100, grid, LossWeights(),
+                          AdamConfig(max_iters=0), init)
+    np.testing.assert_allclose(pts, init, rtol=1e-15, atol=0.0)
+    ev = LossEvaluator(pareto, 100, grid, LossWeights())
+    assert trace == [ev(pts)]
+    assert ev.last_build_ok == buildable
 
 
 def test_feasible_steps_build_one_hybrid_each(pareto, grid, monkeypatch):

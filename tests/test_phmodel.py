@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from heavytail_ph import bph, fitting, phmodel
+from heavytail_ph.optimizer import AdamConfig
 from heavytail_ph.phmodel import PROB_NOISE_TOL, PhaseTypeModel
 
 from conftest import random_stable_ph
@@ -344,7 +345,8 @@ def fitted_models(pareto):
         "bph": (fitting.fit_bph(pareto, n=40).model, 40),
         "he": (fitting.fit_he(pareto, k=3).model, 1),
         "bph_he": (fitting.fit_bph_he(pareto, k=2, n=30,
-                                      run_optimizer=False).model, 30),
+                                      adam=AdamConfig(max_iters=0)).model,
+                   30),
     }
 
 

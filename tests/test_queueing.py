@@ -62,6 +62,17 @@ def test_unstable_queue_rejected():
         queueing.pk_metrics(1.0, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("lam", [1.0, 2.0], ids=["rho-1", "rho-2"])
+def test_distributions_of_an_unstable_queue_rejected(lam):
+    service = exponential_model(1.0)
+    with pytest.raises(UnstableQueueError, match="utilization"):
+        queueing.waiting_time_ccdf(lam, service, [0.0, 1.0])
+    with pytest.raises(UnstableQueueError, match="utilization"):
+        queueing.waiting_time_mean(lam, service)
+    with pytest.raises(UnstableQueueError, match="utilization"):
+        queueing.queue_length_dist(lam, service, 5)
+
+
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         queueing.pk_metrics(-1.0, 1.0, 1.0)

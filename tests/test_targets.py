@@ -8,6 +8,7 @@ for the windowed statistics.
 
 import json
 import math
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -44,10 +45,6 @@ def test_bad_window_rejected():
     with pytest.raises(ValueError):
         TargetDistribution(kind="pareto", params={"shape": 3.1},
                            window=(0.0, math.inf))
-    with pytest.raises(ValueError):
-        targets.numeric_moment(
-            TargetDistribution(kind="pareto", params={"shape": 3.1}), 1,
-            (0.0, math.inf))
 
 
 def test_table_must_decrease():
@@ -267,6 +264,23 @@ def test_array_bisection_matches_one_value_at_a_time(dist):
                           xs.reshape(20, 20))
 
 
+def test_table_level_without_a_solution_takes_no_solver_step(monkeypatch):
+    # At or above the first row's CCDF (0.9) the table's CCDF has no
+    # solution but x -> 0+: such a level gets the least positive float
+    # before the solve and costs no CCDF evaluation.
+    dist = TargetDistribution(kind="tabulated", params={}, table=_COARSE_TABLE)
+    calls = []
+    ccdf = targets.ccdf
+    monkeypatch.setattr(targets, "ccdf",
+                        lambda d, x: calls.append(np.size(x)) or ccdf(d, x))
+    assert targets.ccdf_inverse(dist, 0.95) == math.ulp(0.0)
+    assert targets.ccdf_inverse(dist, 0.9) == math.ulp(0.0)
+    assert calls == []
+    xs = targets.ccdf_inverse(dist, np.array([0.99, 0.5, 0.9]))
+    assert xs[[0, 2]].tolist() == [math.ulp(0.0)] * 2
+    assert max(calls) == 1  # only u = 0.5 reaches the solver
+
+
 def test_lognormal_inverse_takes_the_array_path(monkeypatch):
     # 10,000 draws cost one CCDF call per step of the slowest draw (27
     # here), where one draw alone costs 8 on average and at most 19, and
@@ -359,7 +373,7 @@ def test_inverse_rejects_u_outside_the_unit_interval(all_targets):
 def test_pareto_windowed_mean(pareto):
     # [DERIVED] exact mean of (1+x)^-3.1 is 1/2.1; the 1e6 window
     # truncation error is far below 1e-4 relative.
-    m1 = targets.numeric_moment(pareto, 1, (0.0, 1e6))
+    m1 = targets.numeric_moment(pareto, 1)
     assert m1 == pytest.approx(1.0 / 2.1, rel=1e-4)
 
 
@@ -369,15 +383,15 @@ def test_unit_exponential_tabulated_mean():
     dist = TargetDistribution(kind="tabulated", params={},
                               table=(tuple(xs), tuple(np.exp(-xs))),
                               window=(0.0, 50.0))
-    m1 = targets.numeric_moment(dist, 1, (0.0, 50.0))
+    m1 = targets.numeric_moment(dist, 1)
     assert m1 == pytest.approx(1.0, rel=1e-3)
 
 
 def test_burr_mean_approaches_half_pi(burr):
     # [DERIVED] Burr(2,1) mean is Gamma(1.5)Gamma(0.5) = pi/2 on [0, inf);
     # the truncated value converges from below as the window grows.
-    m_small = targets.numeric_moment(burr, 1, (0.0, 1e3))
-    m_large = targets.numeric_moment(burr, 1, (0.0, 1e6))
+    m_small = targets.numeric_moment(replace(burr, window=(0.0, 1e3)), 1)
+    m_large = targets.numeric_moment(burr, 1)
     assert m_small < m_large < math.pi / 2
     assert m_large == pytest.approx(math.pi / 2, rel=2e-3)
 
@@ -395,7 +409,7 @@ def test_numeric_stats_cv(pareto):
 
 def test_moment_order_validated(pareto):
     with pytest.raises(ValueError):
-        targets.numeric_moment(pareto, 3, (0.0, 10.0))
+        targets.numeric_moment(pareto, 3)
 
 
 # Oracles for the Gauss-Legendre moments: scipy's adaptive quadrature for
@@ -571,9 +585,9 @@ def test_tabulated_moments_are_exact(table, windows):
     dist = TargetDistribution(kind="tabulated", params={}, table=table)
     for window in windows:
         for order in (1, 2):
-            assert targets.numeric_moment(dist, order, window) == \
-                pytest.approx(exact_tabulated_moment(dist, order, window),
-                              rel=1e-12)
+            got = targets.numeric_moment(replace(dist, window=window), order)
+            assert got == pytest.approx(
+                exact_tabulated_moment(dist, order, window), rel=1e-12)
 
 
 def test_array_calls_equal_float_calls(all_targets):
