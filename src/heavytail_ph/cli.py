@@ -369,8 +369,7 @@ def cmd_eval(model_path, grid_spec, log_grid, out):
 
     run = Run("eval", {"model": model_path, "grid": grid_spec,
                        "log_grid": log_grid}, out, inputs=[model_path])
-    m_ccdf = phmodel.ccdf(model, xs)
-    m_pdf = phmodel.pdf(model, xs)
+    m_ccdf, m_pdf = phmodel.ccdf_pdf(model, xs)
     header = ["x", "ccdf", "cdf", "pdf"]
     cols = [xs, m_ccdf, 1.0 - m_ccdf, m_pdf]
     if target is not None:

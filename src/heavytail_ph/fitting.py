@@ -1,9 +1,11 @@
 """High-level fitting pipelines: BPH-only, HE-only, and the hybrid.
 
-Ties the construction modules together with sensible defaults: the HE fit
-points start from the power-of-two initialization spread over a
-tail window derived from the target (median out to the 1e-10 CCDF level,
-capped at the window edge), and the evaluation grid spans the same range.
+Ties the construction modules together with sensible defaults. The
+evaluation grid runs from the window's start to the top of a tail window
+derived from the target (median out to the 1e-10 CCDF level, capped at
+the window edge). Both fits lay out their HE points by the power-of-two
+initialization: `fit_he` over the tail window, `fit_bph_he` from the body
+edge s*ln(n) to the grid top, where Adam then moves them.
 """
 
 from __future__ import annotations

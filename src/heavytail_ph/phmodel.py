@@ -1,7 +1,10 @@
 """Continuous phase-type distributions as (alpha, A) vector-matrix pairs.
 
 Evaluation of the matrix exponential goes through uniformization, which
-preserves nonnegativity and has a certified truncation error. Every
+preserves nonnegativity and has a certified truncation error. A grid
+walk costs vector series over its span, except that a gap repeated
+along the grid (a uniform grid) is uniformized once as a matrix and then
+costs one vector-matrix product each time. Every
 model takes its moments from linear solves against -A, never an explicit
 inverse. When A has the Bernstein-body-plus-HE structure of the fitted
 models (`bernstein_structure`), sampling draws each absorption time in one
@@ -142,24 +145,46 @@ def expm_action(v0: np.ndarray, M: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
     M must be a sub-generator (or any matrix with nonpositive row sums and
     negative diagonal). Walks the grid in ascending order incrementally, so
-    the total series length is proportional to q * max(xs) rather than
-    q * sum(xs).
+    the vector series cover q * max(xs) in all rather than q * sum(xs).
+    With h the smallest positive gap between grid points, when two or
+    more of them lie in [h, 2h) (a uniform grid), E = e^{hM} is built once
+    as a matrix, and each gap in [h, 2h) advances by v @ E, then by a
+    vector series over the remainder dx - h. The remainder is exact
+    (Sterbenz), and on a linspace grid it is a few ulps. A uniform grid
+    then costs one matrix series plus one vector-matrix product per gap,
+    however long the gap.
     """
     n = M.shape[0]
     q = float(np.max(-np.diag(M)))
     P = np.eye(n) + M / q
+    order = np.argsort(xs, kind="stable")
+    gaps = np.diff(xs[order], prepend=0.0)
+    spacings = gaps[1:][gaps[1:] > 0.0]   # gaps[0] is the offset from 0
+    h = spacings.min() if spacings.size else 0.0
+    E = (_step_matrix(P, q * h)
+         if np.count_nonzero(spacings < 2.0 * h) >= 2 else None)
     out = np.empty((xs.size, n))
     v = np.array(v0, dtype=float)
-    prev = 0.0
-    for idx in np.argsort(xs, kind="stable"):
-        dx = xs[idx] - prev
+    for idx, dx in zip(order, gaps):
+        if E is not None and h <= dx < 2.0 * h:
+            v = v @ E
+            dx -= h
         while dx > 0.0:
             step = min(dx, _MAX_POISSON_STEP / q)
             v = _uniformization_step(v, P, q * step)
             dx -= step
-        prev = xs[idx]
         out[idx] = v
     return out
+
+
+def _step_matrix(P: np.ndarray, qh: float) -> np.ndarray:
+    """e^{qh (P - I)} as a matrix: the Poisson series of
+    `_uniformization_step` on the identity over ceil(qh / 400) equal
+    pieces, each as long as one vector step, raised to that power by
+    binary powers."""
+    pieces = math.ceil(qh / _MAX_POISSON_STEP)
+    F = _uniformization_step(np.eye(P.shape[0]), P, qh / pieces)
+    return np.linalg.matrix_power(F, pieces)
 
 
 def _uniformization_step(v: np.ndarray, P: np.ndarray, qdx: float) -> np.ndarray:
@@ -180,23 +205,27 @@ def _uniformization_step(v: np.ndarray, P: np.ndarray, qdx: float) -> np.ndarray
     return acc
 
 
-def ccdf(model: PhaseTypeModel, x) -> float | np.ndarray:
-    """F-bar(x) = alpha e^{xA} 1, with an underflow guard at 1e-300."""
+def ccdf_pdf(model: PhaseTypeModel, x) -> tuple:
+    """(F-bar(x), f(x)) from one walk of the grid: the rows alpha e^{xA}
+    summed, with an underflow guard at 1e-300, and times -A 1, clamped at
+    0."""
     xs, scalar = as_grid(x)
     _require_valid(model)
     rows = expm_action(model.alpha, model.A, xs)
-    vals = rows.sum(axis=1)
-    vals[vals < CCDF_UNDERFLOW] = 0.0
-    return float(vals[0]) if scalar else vals
+    F = rows.sum(axis=1)
+    F[F < CCDF_UNDERFLOW] = 0.0
+    f = np.maximum(rows @ model.exit_rates, 0.0)
+    return (float(F[0]), float(f[0])) if scalar else (F, f)
+
+
+def ccdf(model: PhaseTypeModel, x) -> float | np.ndarray:
+    """F-bar(x) = alpha e^{xA} 1."""
+    return ccdf_pdf(model, x)[0]
 
 
 def pdf(model: PhaseTypeModel, x) -> float | np.ndarray:
     """f(x) = alpha e^{xA} (-A 1)."""
-    xs, scalar = as_grid(x)
-    _require_valid(model)
-    rows = expm_action(model.alpha, model.A, xs)
-    vals = np.maximum(rows @ model.exit_rates, 0.0)
-    return float(vals[0]) if scalar else vals
+    return ccdf_pdf(model, x)[1]
 
 
 # -- moments and scaling --------------------------------------------------

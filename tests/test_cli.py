@@ -16,9 +16,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from heavytail_ph import bph, cli, fitting, phmodel
+from heavytail_ph import bph, cli, fitting, phmodel, queueing
 from heavytail_ph.optimizer import AdamConfig, LossWeights
 from heavytail_ph.targets import TargetDistribution
+
+STORED_HYBRID = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                 / "pareto31_hybrid_k4_n100.json")
 
 
 @pytest.fixture()
@@ -268,6 +271,26 @@ def test_eval_tabulates_model_and_target(runner, tmp_path):
                                                abs=0.05)
 
 
+def test_eval_walks_the_grid_once(runner, tmp_path, monkeypatch):
+    # Both model columns come from one uniformization walk.
+    calls = []
+    walk = phmodel.expm_action
+    monkeypatch.setattr(phmodel, "expm_action",
+                        lambda *a: calls.append(a) or walk(*a))
+    result = runner.invoke(cli.main, [
+        "eval", "--model", str(STORED_HYBRID), "--out", str(tmp_path)],
+        catch_exceptions=False)
+    assert result.exit_code == 0
+    assert len(calls) == 1
+    with open(tmp_path / "eval.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    model = phmodel.PhaseTypeModel.load(STORED_HYBRID)
+    xs = np.linspace(0.0, 10.0, 200)    # the default grid
+    for column, values in (("ccdf", phmodel.ccdf(model, xs)),
+                           ("pdf", phmodel.pdf(model, xs))):
+        assert [r[column] for r in rows] == [f"{v:.12g}" for v in values]
+
+
 def test_eval_rejects_bad_model(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -359,6 +382,27 @@ def test_queue_metrics_and_curves(runner, tmp_path):
     with open(out / "queue_length.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 9
+
+
+def test_queue_long_wait_grid_matches_dense_expm(runner, tmp_path):
+    # [DERIVED] oracle: rho beta expm(x M) 1 by scipy's Pade approximant,
+    # on the stored Pareto(3.1) hybrid, whose gap 20 is q*h = 2063 > 400.
+    from scipy.linalg import expm
+    result = runner.invoke(cli.main, [
+        "queue", "--model", str(STORED_HYBRID), "--lam", "0.5",
+        "--wait-grid", "0:2000:101", "--out", str(tmp_path)],
+        catch_exceptions=False)
+    assert result.exit_code == 0
+    rho = json.loads((tmp_path / "metrics.json").read_text())["rho"]
+    with open(tmp_path / "wait_ccdf.csv", newline="") as fh:
+        rows = [(float(r["x"]), float(r["ccdf"])) for r in csv.DictReader(fh)]
+    assert len(rows) == 101
+    assert rows[0] == (0.0, pytest.approx(rho, rel=1e-11))
+    model = phmodel.PhaseTypeModel.load(STORED_HYBRID)
+    _, beta, M = queueing._waiting_time_generator(0.5, model)
+    for x, got in rows[::10]:
+        exact = float(rho * beta @ expm(x * M) @ np.ones(model.order))
+        assert got == pytest.approx(exact, rel=1e-10)
 
 
 def test_queue_unstable_exit_code(runner, tmp_path):

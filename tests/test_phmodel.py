@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from heavytail_ph import bph, fitting, phmodel
+from heavytail_ph import bph, fitting, phmodel, queueing
 from heavytail_ph.optimizer import AdamConfig
 from heavytail_ph.phmodel import PROB_NOISE_TOL, PhaseTypeModel
 
@@ -169,6 +169,68 @@ def test_unsorted_grid_handled():
     vals = phmodel.ccdf(m, xs)
     assert vals[1] == vals[3]
     assert vals[0] < vals[2] < vals[1]
+
+
+def _oracle_grids(q):
+    """Every kind of grid the walk treats differently, for largest rate q."""
+    lin = np.linspace(0.0, 7.3, 40)
+    assert np.unique(np.diff(lin)).size > 1     # its gaps differ by ulps
+    h = 1.5 * 400.0 / q                         # q*h > _MAX_POISSON_STEP
+    return {"linspace": lin,
+            "long-uniform": h * np.arange(1, 7),
+            "log": np.geomspace(1e-2, 40.0, 12),
+            "single": np.array([2.5]),
+            "unsorted-repeat": np.array([3.0, 0.4, 7.5, 0.4, 1.9])}
+
+
+def _stiff_subgenerator(seed):
+    """A random sub-generator whose phase 0 is 100x faster than it would
+    be, so q is large against the slowest decay, as in fitted models."""
+    rng = np.random.default_rng(seed)
+    m = random_stable_ph(rng, int(rng.integers(2, 9)))
+    M = m.A.copy()
+    M[0] *= 100.0
+    return m.alpha, M
+
+
+def _waiting_time_matrix():
+    rho, beta, M = queueing._waiting_time_generator(
+        0.5, PhaseTypeModel.load(STORED_HYBRID))
+    return rho * beta, M
+
+
+@pytest.mark.parametrize("grid", ["linspace", "long-uniform", "log", "single",
+                                  "unsorted-repeat"])
+@pytest.mark.parametrize("source", [*range(8), "waiting-time"])
+def test_expm_action_matches_dense_expm(source, grid):
+    # [DERIVED] independent oracle: v0 @ expm(x M) by scipy's Pade
+    # approximant, point by point, to 1e-10 of each row's largest entry.
+    # The matrices: stiff random sub-generators, and the stationary-wait
+    # matrix A + s rho beta of the stored Pareto(3.1) hybrid (order 104).
+    v0, M = (_waiting_time_matrix() if source == "waiting-time"
+             else _stiff_subgenerator(source))
+    xs = _oracle_grids(float(np.max(-np.diag(M))))[grid]
+    got = phmodel.expm_action(v0, M, xs)
+    exact = np.array([v0 @ expm(x * M) for x in xs])
+    scale = np.abs(exact).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - exact) <= 1e-10 * scale)
+
+
+@pytest.mark.parametrize("xs, builds", [
+    (np.linspace(0.0, 20.0, 100), 1),
+    (np.linspace(0.5, 2000.0, 101), 1),
+    (np.geomspace(1e-2, 1e2, 9), 0),
+    (np.array([3.0]), 0),
+])
+def test_only_a_repeated_gap_builds_a_step_matrix(monkeypatch, xs, builds):
+    # A uniform grid builds e^{hM} once, however many gaps it has; a grid
+    # whose gaps grow geometrically, or a single point, builds none.
+    calls = []
+    build = phmodel._step_matrix
+    monkeypatch.setattr(phmodel, "_step_matrix",
+                        lambda *a: calls.append(a) or build(*a))
+    phmodel.expm_action(*_waiting_time_matrix(), xs)
+    assert len(calls) == builds
 
 
 def test_cdf_complement():
