@@ -1,7 +1,7 @@
 """Command-line interface: fit, eval, compare, queue, simulate.
 
 Every command writes its outputs into --out (default: current directory)
-together with a manifest recording the resolved configuration, tool
+together with a manifest recording every option, the resolved target, tool
 version, seed, file digests, and wall-clock duration, sufficient to
 reproduce the run.
 """
@@ -44,16 +44,26 @@ def _sha256(path: Path) -> str:
 
 
 class Run:
-    """Collects inputs/outputs and writes the manifest on completion."""
+    """The running command's outputs; writes the manifest on completion.
 
-    def __init__(self, subcommand: str, config: dict, out_dir: str,
-                 seed=None, inputs=()):
-        self.subcommand = subcommand
-        self.config = config
-        self.seed = seed
-        self.out = Path(out_dir)
+    The manifest's config holds every option of the command by parameter
+    name, in declaration order, then the values in resolved (such as the
+    resolved target); --out is the output directory and --seed has its own
+    key. inputs holds the digest of each file that a path option names.
+    """
+
+    def __init__(self, **resolved):
+        ctx = click.get_current_context()
+        config = {p.name: ctx.params[p.name] for p in ctx.command.params}
+        self.subcommand = ctx.command.name
+        self.out = Path(config.pop("out"))
         self.out.mkdir(parents=True, exist_ok=True)
-        self.inputs = {str(p): _sha256(Path(p)) for p in inputs}
+        self.seed = config.pop("seed", None)
+        self.config = {**config, **resolved}
+        self.inputs = {path: _sha256(Path(path))
+                       for p in ctx.command.params
+                       if isinstance(p.type, click.Path)
+                       and (path := ctx.params[p.name])}
         self.outputs: dict[str, str] = {}
         self.started = time.monotonic()
 
@@ -76,7 +86,7 @@ class Run:
 
     def finish(self) -> None:
         manifest = {
-            "format": 1,
+            "format": 2,
             "subcommand": self.subcommand,
             "config": self.config,
             "version": __version__,
@@ -179,7 +189,7 @@ _TARGET_OPTIONS = [
 
 
 def _resolve_target(target_kind, target_json, target_csv, window, **values):
-    """The target and its input files; a bad target is a usage error."""
+    """The target of the target options; a bad target is a usage error."""
     window_t = _parse_window(window) if window else targets_mod.DEFAULT_WINDOW
     given = [bool(target_kind), bool(target_json), bool(target_csv)]
     if sum(given) != 1:
@@ -193,13 +203,12 @@ def _resolve_target(target_kind, target_json, target_csv, window, **values):
             f"--target {target_kind} requires --" + ", --".join(missing))
     try:
         if target_json:
-            return (targets_mod.TargetDistribution.from_json(target_json),
-                    [target_json])
+            return targets_mod.TargetDistribution.from_json(target_json)
         if target_csv:
-            return targets_mod.TargetDistribution.from_csv(
-                target_csv, window=window_t), [target_csv]
+            return targets_mod.TargetDistribution.from_csv(target_csv,
+                                                           window=window_t)
         return targets_mod.TargetDistribution(kind=target_kind, params=params,
-                                              window=window_t), []
+                                              window=window_t)
     except (OSError, ValueError, LookupError, TypeError) as exc:
         raise click.UsageError(f"invalid target: {exc}")
 
@@ -225,7 +234,8 @@ _FIT_OPTIONS = [
     click.option("--max-iters", type=int, default=AdamConfig().max_iters,
                  show_default=True,
                  help="Adam steps; 0 scores the start points only."),
-    click.option("--no-adjust-mean", is_flag=True,
+    click.option("--no-adjust-mean", "adjust_mean", is_flag=True,
+                 flag_value=False, default=True,
                  help="Skip the final rescale to the window-numeric mean."),
 ]
 
@@ -239,9 +249,10 @@ target_options = _options(_TARGET_OPTIONS)
 fit_options = _options(_FIT_OPTIONS)
 
 
-def _fit_config(target, methods, k, grid_size, grid_window, tail_window,
-                weights, lr, max_iters):
-    """Validate the fit options up front; each bad value is a usage error."""
+def _fitter(target, methods, k, n, grid_size, grid_window, tail_window,
+            weights, lr, max_iters, adjust_mean):
+    """fit(method), which fits target by one of methods with the fit
+    options; each bad option value is a usage error here, up front."""
     # The hybrid's tail needs 2k >= 2 fit points; the complete HE fit
     # spreads 2k-1 points over the tail window, which needs two of them.
     if ("bph_he" in methods and k < 1) or ("he" in methods and k < 2):
@@ -261,22 +272,20 @@ def _fit_config(target, methods, k, grid_size, grid_window, tail_window,
     tail = _parse_window(tail_window) if tail_window else None
     if tail and not 0.0 < tail[0] < tail[1]:
         raise click.UsageError("--tail-window needs 0 < x0 < x1")
-    return loss_weights, adam, grid, tail
 
-
-def _run_fit(target, method, k, n, grid, tail, loss_weights, adam,
-             adjust_mean=True):
-    if method == "bph":
-        return fitting.fit_bph(target, n=n, grid=grid,
-                               adjust_mean=adjust_mean)
-    if method == "he":
-        points = pow2_points(2 * k - 1, *tail) if tail else None
-        return fitting.fit_he(target, k=k, grid=grid, points=points,
-                              adjust_mean=adjust_mean)
-    init = pow2_points(2 * k, *tail) if tail else None
-    return fitting.fit_bph_he(target, k=k, n=n, grid=grid,
-                              weights=loss_weights, adam=adam,
-                              init_points=init, adjust_mean=adjust_mean)
+    def fit(method):
+        if method == "bph":
+            return fitting.fit_bph(target, n=n, grid=grid,
+                                   adjust_mean=adjust_mean)
+        if method == "he":
+            points = pow2_points(2 * k - 1, *tail) if tail else None
+            return fitting.fit_he(target, k=k, grid=grid, points=points,
+                                  adjust_mean=adjust_mean)
+        init = pow2_points(2 * k, *tail) if tail else None
+        return fitting.fit_bph_he(target, k=k, n=n, grid=grid,
+                                  weights=loss_weights, adam=adam,
+                                  init_points=init, adjust_mean=adjust_mean)
+    return fit
 
 
 # -- commands -------------------------------------------------------------
@@ -316,23 +325,13 @@ def main():
 @click.option("--out", default=".", show_default=True,
               help="Output directory.")
 def cmd_fit(method, k, n, grid_size, grid_window, tail_window, weights, lr,
-            max_iters, no_adjust_mean, seed, trace_csv, out, **target_args):
+            max_iters, adjust_mean, seed, trace_csv, out, **target_args):
     """Fit a model and write model.json plus a fit report."""
-    target, inputs = _resolve_target(**target_args)
-    loss_weights, adam, grid, tail = _fit_config(
-        target, [method], k, grid_size, grid_window, tail_window, weights,
-        lr, max_iters)
-    config = {"target": target.to_dict(), "method": method, "k": k,
-              "bph_order": n, "grid_size": grid_size,
-              "grid_span": [float(grid.points[0]), float(grid.points[-1])],
-              "tail_window": list(tail) if tail else None,
-              "weights": [loss_weights.w_mae, loss_weights.w_lambda,
-                          loss_weights.w_p],
-              "lr": lr, "max_iters": max_iters,
-              "adjust_mean": not no_adjust_mean}
-    run = Run("fit", config, out, seed=seed, inputs=inputs)
-    outcome = _run_fit(target, method, k, n, grid, tail, loss_weights, adam,
-                       adjust_mean=not no_adjust_mean)
+    target = _resolve_target(**target_args)
+    fit = _fitter(target, [method], k, n, grid_size, grid_window,
+                  tail_window, weights, lr, max_iters, adjust_mean)
+    run = Run(target=target.to_dict())
+    outcome = fit(method)
     outcome.model.save(run.out / "model.json")
     run.outputs[str(run.out / "model.json")] = _sha256(run.out / "model.json")
     run.write_json("report.json", outcome.report.to_dict())
@@ -367,8 +366,7 @@ def cmd_eval(model_path, grid_spec, log_grid, out):
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise click.UsageError(f"invalid source_target: {exc}")
 
-    run = Run("eval", {"model": model_path, "grid": grid_spec,
-                       "log_grid": log_grid}, out, inputs=[model_path])
+    run = Run()
     m_ccdf, m_pdf = phmodel.ccdf_pdf(model, xs)
     header = ["x", "ccdf", "cdf", "pdf"]
     cols = [xs, m_ccdf, 1.0 - m_ccdf, m_pdf]
@@ -389,27 +387,23 @@ def cmd_eval(model_path, grid_spec, log_grid, out):
 @click.option("--methods", default="bph,he,bph_he", show_default=True)
 @click.option("--out", default=".", show_default=True)
 def cmd_compare(k, n, grid_size, grid_window, tail_window, weights, lr,
-                max_iters, no_adjust_mean, methods, out, **target_args):
+                max_iters, adjust_mean, methods, out, **target_args):
     """Fit several methods on one target and tabulate their statistics."""
-    target, inputs = _resolve_target(**target_args)
+    target = _resolve_target(**target_args)
     method_list = [m.strip() for m in methods.split(",") if m.strip()]
     if not method_list or not set(method_list) <= set(fitting.FIT_METHODS):
         raise click.UsageError("--methods must name one or more of "
                                + ", ".join(fitting.FIT_METHODS))
-    loss_weights, adam, grid, tail = _fit_config(
-        target, method_list, k, grid_size, grid_window, tail_window,
-        weights, lr, max_iters)
+    fit = _fitter(target, method_list, k, n, grid_size, grid_window,
+                  tail_window, weights, lr, max_iters, adjust_mean)
 
-    run = Run("compare", {"target": target.to_dict(), "methods": method_list,
-                          "k": k, "bph_order": n}, out, inputs=inputs)
+    run = Run(target=target.to_dict())
     rows = []
     header = ["method", "mae", "mean_real", "mean_approx", "cv_real",
               "cv_approx"]
     for name in method_list:
         try:
-            outcome = _run_fit(target, name, k, n, grid, tail, loss_weights,
-                               adam, adjust_mean=not no_adjust_mean)
-            rep = outcome.report
+            rep = fit(name).report
             rows.append([name, f"{rep.mae:.6e}", f"{rep.mean_real:.6f}",
                          f"{rep.mean_approx:.6f}", f"{rep.cv_real:.6f}",
                          f"{rep.cv_approx:.6f}"])
@@ -440,9 +434,7 @@ def cmd_queue(model_path, lam, adjust_mean, wait_grid, qlen_max, out):
     """Analytic M/PH/1 metrics (and optional distribution curves)."""
     model = _load_model(model_path)
     xs = np.linspace(*_parse_range(wait_grid)) if wait_grid else None
-    run = Run("queue", {"model": model_path, "lam": lam,
-                        "adjust_mean": adjust_mean, "wait_grid": wait_grid,
-                        "qlen_max": qlen_max}, out, inputs=[model_path])
+    run = Run()
     if adjust_mean is not None:
         model = phmodel.scale_to_mean(model, adjust_mean)
     metrics = queueing.mph1_metrics(lam, model)
@@ -485,19 +477,15 @@ def cmd_simulate(model_path, lam, jobs, warmup, replications, seed, wait_grid,
                                     wait_grid=grid, qlen_max=qlen_max)
     except ValueError as exc:
         raise click.UsageError(f"invalid simulation settings: {exc}")
+    target = None
     if model_path:
         if any(v is not None for v in target_args.values()):
             raise click.UsageError("--model takes no target option")
         service = simqueue.model_service(_load_model(model_path))
-        source = {"model": model_path}
-        inputs = [model_path]
     else:
-        target, inputs = _resolve_target(**target_args)
+        target = _resolve_target(**target_args)
         service = simqueue.target_service(target)
-        source = {"target": target.to_dict()}
-    run = Run("simulate", {**source, "lam": lam, "jobs": jobs,
-                           "warmup": warmup, "replications": replications},
-              out, seed=seed, inputs=inputs)
+    run = Run(target=target and target.to_dict())
     result = simqueue.run_mg1(config, service)
     doc = result.to_dict()
     run.write_json("sim_metrics.json", doc)

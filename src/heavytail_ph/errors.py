@@ -6,7 +6,8 @@ class InvalidModelError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Fit settings with nothing to fit, such as a body edge above the grid."""
+    """Settings that leave nothing to run, such as a fit's body edge above
+    the grid or a simulation thread cap that is not a count."""
 
 
 class NonConvergenceError(RuntimeError):

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import targets as targets_mod
 from ._backend import lindley_waits
+from .errors import ConfigError
 from .phmodel import PhaseTypeModel, sample_with_rng
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -57,7 +58,13 @@ class SimResult:
 
 
 def _max_workers() -> int:
-    cap = int(os.environ.get("HEAVYTAIL_PH_THREADS", "0") or 0)
+    """The pool size: the CPU count, capped by HEAVYTAIL_PH_THREADS unless
+    that is 0 or unset; any value but a nonnegative integer is refused."""
+    text = os.environ.get("HEAVYTAIL_PH_THREADS") or "0"
+    if not text.isdecimal():
+        raise ConfigError("HEAVYTAIL_PH_THREADS must be a nonnegative "
+                          f"integer, not {text!r}")
+    cap = int(text)
     auto = os.cpu_count() or 1
     return min(cap, auto) if cap > 0 else auto
 

@@ -102,8 +102,9 @@ class TargetDistribution:
                 if name == "mu":  # Lognormal's log-scale: any real value
                     if not math.isfinite(value):
                         raise ValueError("parameter mu must be finite")
-                elif not value > 0:
-                    raise ValueError(f"parameter {name} must be positive")
+                elif not (math.isfinite(value) and value > 0):
+                    raise ValueError(
+                        f"parameter {name} must be finite and positive")
 
     # -- serialization ----------------------------------------------------
 

@@ -5,6 +5,7 @@ paper-scale invocations live in test_acceptance.py.
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -428,6 +429,77 @@ def test_simulate_small_run(runner, tmp_path):
     assert (tmp_path / "sim_queue_length.csv").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["seed"] == 0
+
+
+# One small run of each command; {json}, {csv} and {model} name the files
+# that its path options read.
+MANIFEST_RUNS = {
+    "fit": ["fit", "--target-json", "{json}", "--k", "2", "--bph-order",
+            "20", "--grid-size", "64", "--max-iters", "2", "--trace-csv"],
+    "eval": ["eval", "--model", "{model}", "--grid", "0:5:6"],
+    "compare": ["compare", "--target", "pareto", "--shape", "3.1",
+                "--bph-order", "20", "--grid-size", "64", "--methods", "bph",
+                "--max-iters", "3", "--lr", "0.02"],
+    "queue": ["queue", "--model", "{model}", "--qlen-max", "4"],
+    "simulate": ["simulate", "--target-csv", "{csv}", "--jobs", "2000",
+                 "--warmup", "100", "--replications", "2",
+                 "--wait-grid", "0:5:6"],
+}
+# The values of the options each command line gives, as parsed.
+MANIFEST_VALUES = {
+    "fit": {"target_json": "{json}", "k": 2, "n": 20, "grid_size": 64,
+            "max_iters": 2, "trace_csv": True},
+    "eval": {"model_path": "{model}", "grid_spec": "0:5:6"},
+    "compare": {"target_kind": "pareto", "shape": 3.1, "n": 20,
+                "grid_size": 64, "methods": "bph", "max_iters": 3,
+                "lr": 0.02},
+    "queue": {"model_path": "{model}", "qlen_max": 4},
+    "simulate": {"target_csv": "{csv}", "jobs": 2000, "warmup": 100,
+                 "replications": 2, "wait_grid": "0:5:6"},
+}
+
+
+@pytest.mark.parametrize("command", MANIFEST_RUNS)
+def test_manifest_records_every_option(runner, tmp_path, command):
+    # config holds every declared option but --out and --seed, in
+    # declaration order, plus the resolved target where the command takes
+    # target options; inputs holds the digest of each file given.
+    xs = [0.0, 1.0, 2.0, 5.0, 10.0, 20.0]
+    files = {"json": tmp_path / "target.json", "csv": tmp_path / "target.csv",
+             "model": STORED_HYBRID}
+    files["json"].write_text(json.dumps(TargetDistribution(
+        kind="pareto", params={"shape": 3.1}).to_dict()))
+    files["csv"].write_text("x,ccdf\n" + "".join(
+        f"{x},{(1.0 + x) ** -3.1!r}\n" for x in xs))
+    argv = [a.format(**files) for a in MANIFEST_RUNS[command]]
+    out = tmp_path / "out"
+    result = runner.invoke(cli.main, [*argv, "--out", str(out)],
+                           catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["format"] == 2
+    assert manifest["subcommand"] == command
+
+    cmd = cli.main.commands[command]
+    names = [p.name for p in cmd.params]
+    options = [n for n in names if n not in ("out", "seed")]
+    config = manifest["config"]
+    target = config.pop("target", None)
+    assert list(config) == options
+    assert (target is not None) == ("target_kind" in names)
+    if target is not None:
+        kind = "tabulated" if command == "simulate" else "pareto"
+        assert target["kind"] == kind
+    # Options left out hold their defaults.
+    values = cmd.make_context(command, [], resilient_parsing=True).params
+    values.update({name: value.format(**files) if isinstance(value, str)
+                   else value
+                   for name, value in MANIFEST_VALUES[command].items()})
+    assert config == {n: values[n] for n in options}
+    assert manifest["seed"] == values.get("seed")
+    assert manifest["inputs"] == {
+        str(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for path in files.values() if str(path) in argv}
 
 
 def test_fit_defaults_are_the_library_defaults():

@@ -131,6 +131,12 @@ CASES = {
     "simulate-no-replications": (["simulate", *PARETO, "--jobs", "2000",
                                   "--warmup", "100", "--replications",
                                   "0"], 2),
+    "fit-weibull-scale-inf": (["fit", "--target", "weibull", "--scale",
+                               "inf", "--shape", "0.5"], 2),
+    "fit-pareto-shape-inf": (["fit", "--target", "pareto", "--shape",
+                              "inf"], 2),
+    "simulate-pareto-shape-inf": (["simulate", "--target", "pareto",
+                                   "--shape", "inf", *SIM], 2),
     "compare-unknown-method": (["compare", *PARETO, "--methods",
                                 "bph,xyz"], 2),
     "fit-lognormal-mu-nan": (["fit", "--target", "lognormal", "--mu", "nan",
@@ -170,7 +176,13 @@ MESSAGES = {"fit-pareto-0.3-body-edge-above-grid":
             "fit-k-50-points-collide":
             "fit failed: fit points must be pairwise distinct",
             "fit-weibull-0.7-nonpositive-residual":
-            "fit failed: nonpositive residual at stage 4"}
+            "fit failed: nonpositive residual at stage 4",
+            "fit-weibull-scale-inf":
+            "invalid target: parameter scale must be finite and positive",
+            "fit-pareto-shape-inf":
+            "invalid target: parameter shape must be finite and positive",
+            "simulate-pareto-shape-inf":
+            "invalid target: parameter shape must be finite and positive"}
 
 
 # The residual-clamp UserWarning of a failing fit is not under test here.
@@ -184,6 +196,16 @@ def test_exit_code_table(tmp_path, name):
         assert result.stderr.startswith("fit failed: ")
     if name in MESSAGES:
         assert result.stderr == MESSAGES[name] + "\n"
+
+
+@pytest.mark.parametrize("threads", ["abc", "-1", "1.5"])
+def test_thread_cap_that_is_not_a_count_is_a_config_error(
+        tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("HEAVYTAIL_PH_THREADS", threads)
+    result = _invoke(["simulate", *PARETO, *SIM], {}, tmp_path / "out")
+    assert result.exit_code == 2
+    assert result.stderr == ("HEAVYTAIL_PH_THREADS must be a nonnegative "
+                             f"integer, not {threads!r}\n")
 
 
 def test_one_replication_writes_null_halfwidths(tmp_path):
