@@ -32,6 +32,10 @@ CCDF_UNDERFLOW = 1e-300  # CCDF values below this are reported as 0
 # split so the series stays short and e^{-q dx} representable.
 _MAX_POISSON_STEP = 400.0
 
+# Buckets of the start-phase guide table: a power of two, so that the
+# bucket of a uniform draw u, floor(u * _GUIDE_BUCKETS), is exact.
+_GUIDE_BUCKETS = 4096
+
 
 @dataclass(frozen=True)
 class PhaseTypeModel:
@@ -302,7 +306,8 @@ def sample_with_rng(model: PhaseTypeModel, rng: np.random.Generator,
     statistics its absorption time is -log(U)/c with U ~ Beta(j+1, n-j),
     drawn as -log1p(-V)/c with V = 1 - U ~ Beta(n-j, j+1); an HE phase
     gives one exponential at its rate. Any other model walks its chain,
-    all active draws advancing one jump per sweep.
+    all active draws advancing one jump per sweep. Both draw their start
+    phases by `_draw_phases`, as Generator.choice(p=alpha) draws them.
     """
     _require_valid(model)
     if not model.is_proper:
@@ -319,7 +324,7 @@ def sample_with_rng(model: PhaseTypeModel, rng: np.random.Generator,
     np.fill_diagonal(jump, 0.0)
     cum = np.cumsum(jump, axis=1)
 
-    phase = rng.choice(n, size=count, p=alpha)
+    phase = _draw_phases(alpha, rng, count)
     times = np.zeros(count)
     active = np.arange(count)
     while active.size:
@@ -334,7 +339,7 @@ def sample_with_rng(model: PhaseTypeModel, rng: np.random.Generator,
 
 def _sample_structured(alpha, rates, n, c, rng, count) -> np.ndarray:
     """One draw per time for a model with `bernstein_structure` (n, c)."""
-    phase = rng.choice(alpha.size, size=count, p=alpha)
+    phase = _draw_phases(alpha, rng, count)
     times = np.empty(count)
     body = phase < n
     j = phase[body]
@@ -342,3 +347,27 @@ def _sample_structured(alpha, rates, n, c, rng, count) -> np.ndarray:
     tail = phase[~body]
     times[~body] = rng.exponential(1.0, size=tail.size) / rates[tail]
     return times
+
+
+def _draw_phases(alpha, rng, count) -> np.ndarray:
+    """`count` start phases, equal to Generator.choice(alpha.size,
+    size=count, p=alpha) at the same generator state: with cdf the
+    cumulative sum of alpha divided by its last entry, the phase of a
+    uniform draw u is cdf.searchsorted(u, side="right").
+
+    A guide table (Chen & Asau 1974; Devroye 1986, section III.2.4) of
+    _GUIDE_BUCKETS equal buckets of [0, 1) holds that index for every
+    bucket in which the CDF takes no step, where it is the same for every
+    u; only the draws in the other buckets, about one per phase, search.
+    """
+    cdf = alpha.cumsum()
+    cdf /= cdf[-1]
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    first = cdf.searchsorted(edges[:-1], side="right")
+    guide = np.where(first == cdf.searchsorted(edges[1:], side="left"),
+                     first, -1)
+    u = rng.random(count)
+    phase = guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
+    steps = np.flatnonzero(phase < 0)
+    phase[steps] = cdf.searchsorted(u[steps], side="right")
+    return phase

@@ -58,14 +58,19 @@ class SimResult:
 
 
 def _max_workers() -> int:
-    """The pool size: the CPU count, capped by HEAVYTAIL_PH_THREADS unless
-    that is 0 or unset; any value but a nonnegative integer is refused."""
+    """The pool size: the count of CPUs the process may run on (of the
+    machine's, where the platform has no affinity call), capped by
+    HEAVYTAIL_PH_THREADS unless that is 0 or unset; any value but a
+    nonnegative integer is refused."""
     text = os.environ.get("HEAVYTAIL_PH_THREADS") or "0"
     if not text.isdecimal():
         raise ConfigError("HEAVYTAIL_PH_THREADS must be a nonnegative "
                           f"integer, not {text!r}")
     cap = int(text)
-    auto = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        auto = len(os.sched_getaffinity(0))
+    else:
+        auto = os.cpu_count() or 1
     return min(cap, auto) if cap > 0 else auto
 
 

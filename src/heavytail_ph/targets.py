@@ -283,28 +283,29 @@ def _safeguarded_newton(dist: TargetDistribution, u: np.ndarray) -> np.ndarray:
 
     Each value takes the steps it would take alone: its bracket [lo, hi]
     doubles from [0, 1] until ccdf(hi) <= u (NonConvergenceError once hi
-    overflows), and x starts at its midpoint. Each step evaluates the CCDF
-    and the density at x, moves lo or hi to x by the sign of ccdf(x) - u,
-    and takes the Newton step where it lands strictly inside the bracket,
-    the bracket's midpoint otherwise. A value stops after a Newton step of
-    at most 1e-12 x (taken wherever it lands: below half an ulp of x it
-    leaves x on the end just moved), after a midpoint step that leaves a
-    width of at most 1e-13 * hi, or after 200 steps. Each step
+    overflows), and x starts at its midpoint. Every value still doubling
+    has the same hi, 2^k, so each level evaluates ccdf(2^k) once, as a
+    float, which equals its value in an array call. Each step evaluates
+    the CCDF and the density at x, moves lo or hi to x by the sign of
+    ccdf(x) - u, and takes the Newton step where it lands strictly inside
+    the bracket, the bracket's midpoint otherwise. A value stops after a
+    Newton step of at most 1e-12 x (taken wherever it lands: below half an
+    ulp of x it leaves x on the end just moved), after a midpoint step that
+    leaves a width of at most 1e-13 * hi, or after 200 steps. Each step
     evaluates by one array call at the values still moving. Requires a
     continuous, strictly decreasing CCDF on the relevant range.
     """
     hi = np.ones_like(u)
-    live = np.arange(u.size)
+    live, top = np.arange(u.size), 1.0
     while True:
-        live = live[ccdf(dist, hi[live]) > u[live]]
+        live = live[ccdf(dist, top) > u[live]]
         if not live.size:
             break
-        with np.errstate(over="ignore"):
-            hi[live] *= 2.0
-        if np.isinf(hi[live]).any():
+        top *= 2.0
+        if math.isinf(top):
             raise NonConvergenceError(
-                f"ccdf stays above u={u[live][np.isinf(hi[live])][0]} up to "
-                "the largest float")
+                f"ccdf stays above u={u[live][0]} up to the largest float")
+        hi[live] = top
 
     # The values still moving, compacted: a, b, xl and ul hold their
     # brackets, iterates and levels, and each x is stored when it is done.

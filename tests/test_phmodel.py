@@ -504,3 +504,46 @@ def test_structured_sampling_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def _choice(alpha, rng, count):
+    """Start phases as Generator.choice draws them."""
+    return rng.choice(alpha.size, size=count, p=alpha)
+
+
+@pytest.mark.parametrize("alpha", [
+    [0.0, 0.0, 0.3, 0.0, 0.0, 0.2, 0.5, 0.0, 0.0],  # zeros at both ends
+    [0.5, 1e-5, 2e-5, 0.5 - 3e-5],   # two small steps in one bucket
+    [1.0],
+], ids=["zeros", "small-steps", "single"])
+def test_phase_lookup_equals_generator_choice(alpha):
+    # [ORACLE] Generator.choice at the same seed, draw for draw. The
+    # small-steps CDF has a step on a bucket edge (0.5 = 2048/4096) and
+    # two more inside that bucket, each below 1/4096.
+    alpha = np.array(alpha)
+    for seed in range(5):
+        for count in (0, 1, 40_000):
+            got = phmodel._draw_phases(alpha, np.random.default_rng(seed),
+                                       count)
+            ref = _choice(alpha, np.random.default_rng(seed), count)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref), (seed, count)
+
+
+def test_stored_hybrid_draws_equal_generator_choice(monkeypatch):
+    # [ORACLE] the stored hybrid's 104 start phases, directly and through
+    # both samplers (the reversed model takes the chain walk): the same
+    # draws, bit for bit, as with start phases from Generator.choice.
+    stored = PhaseTypeModel.load(STORED_HYBRID)
+    alpha = stored.alpha / stored.alpha.sum()
+    assert np.array_equal(
+        phmodel._draw_phases(alpha, np.random.default_rng(37), 40_000),
+        _choice(alpha, np.random.default_rng(37), 40_000))
+    models = {"structured": stored, "chain walk": _reversed(stored)}
+    assert phmodel.bernstein_structure(models["chain walk"].A) is None
+    got = {name: phmodel.sample_with_rng(m, np.random.default_rng(41), 4000)
+           for name, m in models.items()}
+    monkeypatch.setattr(phmodel, "_draw_phases", _choice)
+    for name, m in models.items():
+        ref = phmodel.sample_with_rng(m, np.random.default_rng(41), 4000)
+        assert np.array_equal(got[name], ref), name

@@ -6,6 +6,7 @@ target/model moments for the samplers.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from heavytail_ph import targets as targets_mod
 from heavytail_ph._backend import lindley_waits
 from heavytail_ph.phmodel import PhaseTypeModel
 from heavytail_ph.simqueue import SimConfig
+
+STORED_HYBRID = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                 / "pareto31_hybrid_k4_n100.json")
 
 
 def test_config_validation():
@@ -67,15 +71,86 @@ def test_simulation_deterministic():
     assert np.array_equal(a.wait_ccdf, b.wait_ccdf)
 
 
+# [REGRESSION] the CLI's samplers in run_mg1, 2 replications x 5,000 jobs,
+# as recorded before the start phases took a guide table and the Lognormal
+# bracket one CCDF value per level: each estimate (mean and half-width),
+# the wait CCDF at grid indices 5, 20 and 50, and the queue-length pmf at
+# 0, 1 and 5.
+_PINNED_RUNS = {
+    "stored-hybrid": ({
+        "E_W": (0.23412089761944, 0.019657461965305115),
+        "E_T": (0.6880363303212538, 0.023447520713475348),
+        "E_N": (0.3453333333333333, 0.027003948231440738),
+        "E_Nq": (0.12, 0.013937521667840394),
+        "rho": (0.22533333333333333, 0.01306642656360036)},
+        [0.06288888888888888, 0.012777777777777777, 0.0016666666666667052],
+        [0.7746666666666666, 0.15744444444444444, 0.003666666666666667]),
+    "lognormal": ({
+        "E_W": (267.7075524458314, 52.72593866332582),
+        "E_T": (286.8803992569579, 52.78628993267106),
+        "E_N": (6.993888888888889, 1.2737588161749744),
+        "E_Nq": (6.5215555555555556, 1.256119140314115),
+        "rho": (0.4723333333333333, 0.017639675860860498)},
+        [0.3811111111111111, 0.2891111111111111, 0.21366666666666667],
+        [0.5276666666666667, 0.11299999999999999, 0.020222222222222225]),
+}
+
+
 def test_replication_order_independent(monkeypatch):
-    # Forcing single-threaded execution must not change the results.
-    config = SimConfig(lam=0.5, jobs=5_000, warmup=500, seed=7,
-                       replications=3)
-    service = lambda rng, count: rng.exponential(1.0, size=count)
-    parallel = simqueue.run_mg1(config, service)
-    monkeypatch.setenv("HEAVYTAIL_PH_THREADS", "1")
-    serial = simqueue.run_mg1(config, service)
-    assert parallel.estimates == serial.estimates
+    # Running the replications on one thread or two, or on every usable
+    # CPU, must not change the results, with an exponential lambda and
+    # with the CLI's two samplers: the stored hybrid's one-step draws and
+    # the Lognormal(1, 2) solver, which holds the GIL. The CLI's samplers
+    # also give the pinned values, to 1e-12 relative (the Lognormal CCDF
+    # is the platform's math.erfc).
+    lognormal = targets_mod.TargetDistribution(
+        kind="lognormal", params={"mu": 1.0, "sigma": 2.0})
+    runs = [
+        ("exponential", 0.5, 3,
+         lambda rng, count: rng.exponential(1.0, size=count)),
+        ("stored-hybrid", 0.5, 2,
+         simqueue.model_service(PhaseTypeModel.load(STORED_HYBRID))),
+        ("lognormal", 0.5 * math.exp(-3.0), 2,  # rho = 0.5
+         simqueue.target_service(lognormal)),
+    ]
+    for name, lam, replications, service in runs:
+        config = SimConfig(lam=lam, jobs=5_000, warmup=500, seed=7,
+                           replications=replications)
+        results = []
+        for threads in ("0", "2", "1"):
+            monkeypatch.setenv("HEAVYTAIL_PH_THREADS", threads)
+            results.append(simqueue.run_mg1(config, service))
+        got = results[0]
+        for other in results[1:]:
+            assert other.estimates == got.estimates, name
+            assert np.array_equal(other.wait_ccdf, got.wait_ccdf), name
+            assert np.array_equal(other.qlen_pmf, got.qlen_pmf), name
+        if name in _PINNED_RUNS:
+            estimates, wait, qlen = _PINNED_RUNS[name]
+            for metric, pair in estimates.items():
+                assert got.estimates[metric] == pytest.approx(
+                    pair, rel=1e-12, abs=0.0), (name, metric)
+            assert got.wait_ccdf[[5, 20, 50]] == pytest.approx(
+                wait, rel=1e-12, abs=0.0), name
+            assert got.qlen_pmf[[0, 1, 5]] == pytest.approx(
+                qlen, rel=1e-12, abs=0.0), name
+
+
+def test_pool_size_follows_the_affinity_mask(monkeypatch):
+    # The pool counts the CPUs the process may run on, not the machine's:
+    # under a one-CPU mask it has one thread whatever the cap. Where the
+    # platform has no affinity call, it counts the machine's.
+    monkeypatch.delenv("HEAVYTAIL_PH_THREADS", raising=False)
+    monkeypatch.setattr(simqueue.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(simqueue.os, "sched_getaffinity", lambda pid: {3},
+                        raising=False)
+    assert simqueue._max_workers() == 1
+    monkeypatch.setenv("HEAVYTAIL_PH_THREADS", "2")
+    assert simqueue._max_workers() == 1
+    monkeypatch.delattr(simqueue.os, "sched_getaffinity")
+    assert simqueue._max_workers() == 2
+    monkeypatch.setenv("HEAVYTAIL_PH_THREADS", "0")
+    assert simqueue._max_workers() == 8
 
 
 def test_wait_ccdf_estimates_distribution():

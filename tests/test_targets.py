@@ -282,21 +282,55 @@ def test_table_level_without_a_solution_takes_no_solver_step(monkeypatch):
 
 
 def test_lognormal_inverse_takes_the_array_path(monkeypatch):
-    # 10,000 draws cost one CCDF call per step of the slowest draw (27
-    # here), where one draw alone costs 8 on average and at most 19, and
-    # the first call holds every draw. The CCDF values evaluated count the
-    # work: 8.7 per draw here, 47.8 for a bisection to 1e-13 relative.
+    # 10,000 draws cost one CCDF call per bracket level and per step of the
+    # slowest draw (14 + 13 here), where one draw alone costs 8 on average
+    # and at most 19. Every draw still doubling its bracket has the same
+    # upper end, so each level is one float call; the first step holds
+    # every draw. The CCDF values evaluated count the work: 5.3 per draw
+    # here, 8.7 with a value per draw at each level, 47.8 for a bisection
+    # to 1e-13 relative.
     dist = TargetDistribution(kind="lognormal",
                               params={"mu": 1.0, "sigma": 2.0})
     calls = []
     ccdf = targets.ccdf
     monkeypatch.setattr(targets, "ccdf",
-                        lambda d, x: calls.append(np.size(x)) or ccdf(d, x))
+                        lambda d, x: calls.append(np.shape(x)) or ccdf(d, x))
     us = np.random.default_rng(0).random(10_000)
-    targets.ccdf_inverse(dist, us)
+    xs = targets.ccdf_inverse(dist, us)
+    levels = 1 + math.ceil(math.log2(xs.max()))  # 1, 2, ..., 2^13
+    assert calls[:levels] == [()] * levels
+    assert calls[levels] == us.shape
+    sizes = [math.prod(shape) for shape in calls]
     assert len(calls) <= 400
-    assert max(calls) == us.size
-    assert sum(calls) <= 16 * us.size
+    assert max(sizes) == us.size
+    assert sum(sizes) <= 6 * us.size
+
+
+def test_solved_draws_are_pinned():
+    # [REGRESSION] 20 draws of each solved kind at a fixed seed, exact to
+    # the bit, as recorded before the bracket took one CCDF value per
+    # level. The two table draws at u >= 0.9 are the least positive float.
+    lognormal = TargetDistribution(kind="lognormal",
+                                   params={"mu": 1.0, "sigma": 2.0})
+    table = TargetDistribution(kind="tabulated", params={},
+                               table=_COARSE_TABLE)
+    assert targets.ccdf_inverse(
+        lognormal, np.random.default_rng(41).random(20)).tolist() == [
+        0.09319901802839349, 0.6286960839773534, 26.877588105372176,
+        0.4128547050847912, 0.34475422121629007, 5.881510735459191,
+        2.5671460109755677, 1.6166460671753928, 6.2418988725783695,
+        1.4616164743741016, 0.786085221419701, 0.31022930428545664,
+        6.276522861241774, 3.8820678526375376, 1.6877079495488663,
+        0.052686538152850494, 0.1465766400824548, 62.50720784594365,
+        0.6407601210809591, 20.271117134328083]
+    assert targets.ccdf_inverse(
+        table, np.random.default_rng(43).random(20)).tolist() == [
+        1.0954112482049387, 11.57918073675608, 20.865923582596142,
+        0.6293527695051745, 1.2900672684076488, 4.218576787062212,
+        0.8328302020687257, 3.603053644795358, 1.9098487775557815,
+        1.7778987973141624, 5e-324, 0.516719453132776, 3.391023289873271,
+        3.3923867009785282, 1.9009660294080746, 39.77141403908922,
+        2.9939976740677468, 5e-324, 0.6315754286805105, 1.4616517584447166]
 
 
 @pytest.mark.filterwarnings("error")
