@@ -36,6 +36,10 @@ _MAX_POISSON_STEP = 400.0
 # bucket of a uniform draw u, floor(u * _GUIDE_BUCKETS), is exact.
 _GUIDE_BUCKETS = 4096
 
+# Most entries of the chain walk's (draws x order) jump comparison held at
+# once (1 MB of float64), so that its memory does not grow with the count.
+_WALK_BLOCK = 1 << 17
+
 
 @dataclass(frozen=True)
 class PhaseTypeModel:
@@ -306,8 +310,10 @@ def sample_with_rng(model: PhaseTypeModel, rng: np.random.Generator,
     statistics its absorption time is -log(U)/c with U ~ Beta(j+1, n-j),
     drawn as -log1p(-V)/c with V = 1 - U ~ Beta(n-j, j+1); an HE phase
     gives one exponential at its rate. Any other model walks its chain,
-    all active draws advancing one jump per sweep. Both draw their start
-    phases by `_draw_phases`, as Generator.choice(p=alpha) draws them.
+    all active draws advancing one jump per sweep, whose next phases are
+    looked up a block of at most _WALK_BLOCK // order draws at a time.
+    Both draw their start phases by `_draw_phases`, as
+    Generator.choice(p=alpha) draws them.
     """
     _require_valid(model)
     if not model.is_proper:
@@ -327,10 +333,15 @@ def sample_with_rng(model: PhaseTypeModel, rng: np.random.Generator,
     phase = _draw_phases(alpha, rng, count)
     times = np.zeros(count)
     active = np.arange(count)
+    rows = max(1, _WALK_BLOCK // n)
     while active.size:
         ph = phase[active]
         times[active] += rng.exponential(1.0, size=active.size) / rates[ph]
-        nxt = (cum[ph] < rng.random(active.size)[:, None]).sum(axis=1)
+        r = rng.random(active.size)
+        nxt = np.empty(active.size, dtype=np.intp)
+        for s in range(0, active.size, rows):
+            nxt[s:s + rows] = (cum[ph[s:s + rows]]
+                               < r[s:s + rows, None]).sum(axis=1)
         absorbed = nxt >= n
         phase[active[~absorbed]] = nxt[~absorbed]
         active = active[~absorbed]

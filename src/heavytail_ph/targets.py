@@ -13,8 +13,11 @@ the whole integral (see numeric_moment).
 ccdf, pdf and ccdf_inverse take a float, returning a float, or an array,
 returning an array. Every kind evaluates through numpy, the Lognormal
 CCDF with the C library's erfc value by value. Pareto, Weibull and Burr
-invert in closed form; Lognormal and tabulated targets by Newton steps kept
-inside a bracket, over the whole array of draws at once.
+invert in closed form. Lognormal and tabulated targets start at a closed
+form too (the Lognormal at exp(mu - sigma Phi^-1(u)), a table at the
+inverse of its interpolant), which Newton steps kept inside a bracket
+confirm over the whole array of draws at once, in one step for nearly
+every draw.
 """
 
 from __future__ import annotations
@@ -226,8 +229,7 @@ def _tabulated_ccdf(dist: TargetDistribution, x: np.ndarray) -> np.ndarray:
     out[x < tx[0]] = cc[0]
     out[x == 0.0] = 1.0
     tail = x > tx[-1]
-    slope = (math.log(cc[-1]) - math.log(cc[-2])) / \
-            (math.log(tx[-1]) - math.log(tx[-2]))
+    slope = _tail_slope(dist.table)
     # Value by value, by the C library's pow, which gives a value the same
     # bits whatever array holds it, so a float call equals its value in an
     # array call. numpy does not promise that of its vector power (which
@@ -236,15 +238,23 @@ def _tabulated_ccdf(dist: TargetDistribution, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tail_slope(table) -> float:
+    """Slope in log-log of the power law through a table's last two rows."""
+    tx, cc = table
+    return ((math.log(cc[-1]) - math.log(cc[-2]))
+            / (math.log(tx[-1]) - math.log(tx[-2])))
+
+
 def ccdf_inverse(dist: TargetDistribution, u):
     """x with ccdf(x) = u, for a float u in (0, 1) or an array of them, as
     for ccdf.
 
-    Pareto, Weibull and Burr invert in closed form; Lognormal and tabulated
-    targets by Newton steps kept inside a bracket, over the whole array at
-    once (_safeguarded_newton). Each value of an array call equals the
-    float call. NonConvergenceError is raised when an x lies beyond the
-    largest float.
+    Pareto, Weibull and Burr invert in closed form. Lognormal and tabulated
+    targets start at a closed form (_closed_form_start), which Newton steps
+    kept inside a bracket confirm over the whole array at once
+    (_safeguarded_newton). Each value of an array call equals the float
+    call. NonConvergenceError is raised when an x lies beyond the largest
+    float.
     """
     us = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.all((us > 0.0) & (us < 1.0)):
@@ -255,7 +265,8 @@ def ccdf_inverse(dist: TargetDistribution, u):
         x = np.full(us.shape, math.ulp(0.0))
         solve = us < (1.0 if dist.table is None else dist.table[1][0])
         if solve.any():
-            x[solve] = _safeguarded_newton(dist, us[solve])
+            x[solve] = _safeguarded_newton(
+                dist, us[solve], _closed_form_start(dist, us[solve]))
     else:
         p = dist.params
         t = -np.log(us)
@@ -277,23 +288,52 @@ def ccdf_inverse(dist: TargetDistribution, u):
     return float(x[0]) if np.ndim(u) == 0 else x
 
 
-def _safeguarded_newton(dist: TargetDistribution, u: np.ndarray) -> np.ndarray:
+def _closed_form_start(dist: TargetDistribution, u: np.ndarray) -> np.ndarray:
+    """The closed-form inverse at each value of a 1-d array u below the
+    CCDF's value at 0+, to rounding, or inf where it overflows.
+
+    Lognormal: exp(mu - sigma Phi^-1(u)), with Phi^-1 the C inverse of
+    statistics.NormalDist (Wichura's AS241) mapped value by value over u
+    itself, not 1 - u, so that the far tail keeps its precision. Table:
+    the interpolation of x against log ccdf read backwards, and past the
+    last row the power law through the last two rows solved for x.
+    """
+    if dist.kind == "lognormal":
+        # Imported here: statistics costs a fresh `import heavytail_ph.cli`
+        # 2.4 ms, and only Lognormal draws use it.
+        from statistics import NormalDist
+        z = np.fromiter(map(NormalDist().inv_cdf, u.tolist()), float, u.size)
+        with np.errstate(over="ignore"):
+            return np.exp(dist.params["mu"] - dist.params["sigma"] * z)
+    tx, cc = dist.table
+    log_u = np.log(u)
+    x = np.interp(log_u, np.log(cc[::-1]), tx[::-1])
+    tail = u < cc[-1]
+    with np.errstate(over="ignore"):
+        x[tail] = tx[-1] * np.exp((log_u[tail] - math.log(cc[-1]))
+                                  / _tail_slope(dist.table))
+    return x
+
+
+def _safeguarded_newton(dist: TargetDistribution, u: np.ndarray,
+                        x0: np.ndarray) -> np.ndarray:
     """Solve ccdf(x) = u at each value of a 1-d array u, by Newton steps
-    kept inside a bracket (the rtsafe scheme).
+    from x0 kept inside a bracket (the rtsafe scheme).
 
     Each value takes the steps it would take alone: its bracket [lo, hi]
     doubles from [0, 1] until ccdf(hi) <= u (NonConvergenceError once hi
-    overflows), and x starts at its midpoint. Every value still doubling
-    has the same hi, 2^k, so each level evaluates ccdf(2^k) once, as a
-    float, which equals its value in an array call. Each step evaluates
-    the CCDF and the density at x, moves lo or hi to x by the sign of
-    ccdf(x) - u, and takes the Newton step where it lands strictly inside
-    the bracket, the bracket's midpoint otherwise. A value stops after a
-    Newton step of at most 1e-12 x (taken wherever it lands: below half an
-    ulp of x it leaves x on the end just moved), after a midpoint step that
-    leaves a width of at most 1e-13 * hi, or after 200 steps. Each step
-    evaluates by one array call at the values still moving. Requires a
-    continuous, strictly decreasing CCDF on the relevant range.
+    overflows), and x starts at x0 clipped into it. Every value still
+    doubling has the same hi, 2^k, so each level evaluates ccdf(2^k) once,
+    as a float, which equals its value in an array call. Each step
+    evaluates the CCDF and the density at x, moves lo or hi to x by the
+    sign of ccdf(x) - u, and takes the Newton step where it lands strictly
+    inside the bracket, the bracket's midpoint otherwise. A value stops
+    after a Newton step of at most 1e-12 x (taken wherever it lands: below
+    half an ulp of x it leaves x on the end just moved), after a midpoint
+    step that leaves a width of at most 1e-13 * hi, or after 200 steps.
+    From a closed-form x0 nearly every value stops after its first step.
+    Each step evaluates by one array call at the values still moving.
+    Requires a continuous, strictly decreasing CCDF on the relevant range.
     """
     hi = np.ones_like(u)
     live, top = np.arange(u.size), 1.0
@@ -312,7 +352,7 @@ def _safeguarded_newton(dist: TargetDistribution, u: np.ndarray) -> np.ndarray:
     x = np.empty_like(u)
     a = np.where(hi > 1.0, 0.5 * hi, 0.0)
     live, b, ul = np.arange(u.size), hi, u
-    xl = 0.5 * (a + b)
+    xl = np.clip(x0, a, b)
     for _ in range(200):
         f = ccdf(dist, xl) - ul
         a, b = np.where(f > 0.0, xl, a), np.where(f < 0.0, xl, b)

@@ -37,11 +37,12 @@ def test_traced_fit_run_is_correct_and_fires_every_boundary():
 def test_traced_validate_run_fires_every_boundary():
     """The traced validate run reaches every simulation and queue boundary,
     among them `phmodel.sample_with_rng` and `draw_target`, whose Lognormal
-    draws take safeguarded Newton steps through `targets.ccdf_inverse` and
-    `targets.ccdf`; a draw path that calls around one of them fails the run
-    as "never fired". Each step evaluates the CCDF once for a whole
+    draws start at the closed-form inverse and take safeguarded Newton
+    steps through `targets.ccdf_inverse` and `targets.ccdf`; a draw path
+    that calls around one of them fails the run as "never fired". Each
+    bracket level and each step evaluates the CCDF once for a whole
     replication's draws, so an operation makes tens to hundreds of
-    `targets.ccdf` calls (39 at this size and seed, about 255 at full
+    `targets.ccdf` calls (24 at this size and seed, about 150 at full
     size), not tens per draw.
     `correct` is not asserted: the tiny size simulates 2 replications, and
     their mean checks miss on correct code at some seeds (at seed 0 the
