@@ -12,10 +12,11 @@ the whole integral (see numeric_moment).
 
 ccdf, pdf and ccdf_inverse take a float, returning a float, or an array,
 returning an array. Every kind evaluates through numpy, the Lognormal
-CCDF with the C library's erfc value by value. Pareto, Weibull and Burr
-invert in closed form. Lognormal and tabulated targets start at a closed
-form too (the Lognormal at exp(mu - sigma Phi^-1(u)), a table at the
-inverse of its interpolant), which Newton steps kept inside a bracket
+CCDF with the C library's erfc value by value. A table's CCDF is
+log-linear in x between its rows and a power law past the last, so its
+density and inverse are closed forms too. Pareto, Weibull, Burr and
+tabulated targets invert in closed form. The Lognormal starts at one,
+exp(mu - sigma Phi^-1(u)), which Newton steps kept inside a bracket
 confirm over the whole array of draws at once, in one step for nearly
 every draw.
 """
@@ -84,7 +85,9 @@ class TargetDistribution:
                 raise ValueError("table must hold two equal-length columns")
             if np.any(np.diff(xs) <= 0):
                 raise ValueError("table abscissae must be strictly increasing")
-            if np.any(cc <= 0) or np.any(cc > 1):
+            if not np.all(xs >= 0):  # NaN is refused too
+                raise ValueError("table abscissae must be nonnegative")
+            if not np.all((cc > 0) & (cc <= 1)):
                 raise ValueError("table CCDF values must lie in (0, 1]")
             if np.any(np.diff(cc) > 0):
                 raise ValueError("table CCDF values must be nonincreasing")
@@ -186,8 +189,9 @@ def ccdf(dist: TargetDistribution, x):
 
 
 def pdf(dist: TargetDistribution, x):
-    """Density of the target at x >= 0, a float or an array as for ccdf
-    (tabulated: a central difference of the interpolated CCDF)."""
+    """Density of the target at x >= 0, a float or an array as for ccdf. A
+    table's is -b F(x) on a row segment of slope b in log ccdf (at a row,
+    the one that starts there), and -slope F(x) / x at and past the last."""
     p = dist.params
     xs, scalar = as_grid(x)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -213,10 +217,14 @@ def pdf(dist: TargetDistribution, x):
             out[xs == 0.0] = (math.inf if shape < 1
                               else (1.0 / scale if shape == 1 else 0.0))
         else:
-            h = np.maximum(1e-6 * xs, 1e-9)
-            lo = np.maximum(xs - h, 0.0)
-            out = np.maximum((ccdf(dist, lo) - ccdf(dist, xs + h))
-                             / (xs + h - lo), 0.0)
+            tx, cc = dist.table
+            f, log_cc = _tabulated_ccdf(dist, xs), np.log(cc)
+            # -b on each row segment (+0.0 where flat); the +0.0 appended
+            # serves index -1, before the first row, and the tail, set below.
+            rate = np.append((log_cc[:-1] - log_cc[1:]) / np.diff(tx), 0.0)
+            out = rate[np.searchsorted(tx, xs, side="right") - 1] * f
+            tail = xs >= tx[-1]
+            out[tail] = -_tail_slope(dist.table) * f[tail] / xs[tail]
     return float(out[0]) if scalar else out
 
 
@@ -249,24 +257,21 @@ def ccdf_inverse(dist: TargetDistribution, u):
     """x with ccdf(x) = u, for a float u in (0, 1) or an array of them, as
     for ccdf.
 
-    Pareto, Weibull and Burr invert in closed form. Lognormal and tabulated
-    targets start at a closed form (_closed_form_start), which Newton steps
-    kept inside a bracket confirm over the whole array at once
-    (_safeguarded_newton). Each value of an array call equals the float
-    call. NonConvergenceError is raised when an x lies beyond the largest
-    float.
+    Pareto, Weibull, Burr and tabulated targets invert in closed form; a
+    table by its interpolant read backwards, past the last row by the power
+    law through the last two rows solved for x, and at or above the first
+    row's CCDF, where its CCDF falls from 1 at 0 straight to that value, at
+    the least positive float. The Lognormal starts at a closed form
+    (_closed_form_start), which Newton steps kept inside a bracket confirm
+    over the whole array at once (_safeguarded_newton). Each value of an
+    array call equals the float call. NonConvergenceError is raised when an
+    x lies beyond the largest float.
     """
-    us = np.atleast_1d(np.asarray(u, dtype=float))
+    us = np.asarray(u, dtype=float).ravel()
     if not np.all((us > 0.0) & (us < 1.0)):
         raise ValueError(f"u must be in (0, 1), got {u}")
-    if dist.kind in ("lognormal", "tabulated"):
-        # A table's CCDF falls from 1 at 0 straight to its first row's
-        # value: at or above that level x is the least positive float.
-        x = np.full(us.shape, math.ulp(0.0))
-        solve = us < (1.0 if dist.table is None else dist.table[1][0])
-        if solve.any():
-            x[solve] = _safeguarded_newton(
-                dist, us[solve], _closed_form_start(dist, us[solve]))
+    if dist.kind == "lognormal":
+        x = _safeguarded_newton(dist, us, _closed_form_start(dist, us))
     else:
         p = dist.params
         t = -np.log(us)
@@ -275,50 +280,46 @@ def ccdf_inverse(dist: TargetDistribution, u):
                 x = np.expm1(t / p["shape"])
             elif dist.kind == "weibull":
                 x = p["scale"] * t ** (1.0 / p["shape"])
-            else:
+            elif dist.kind == "burr":
                 c, t = p["c"], t / p["d"]
                 x = np.expm1(t) ** (1.0 / c)
                 # Where e^t overflows, e^-t is below rounding: x = e^(t/c).
                 big = np.isinf(x)
                 x[big] = np.exp(t[big] / c)
+            else:
+                tx, cc = dist.table
+                x = np.interp(-t, np.log(cc[::-1]), tx[::-1])
+                tail = us < cc[-1]
+                x[tail] = tx[-1] * np.exp((-t[tail] - math.log(cc[-1]))
+                                          / _tail_slope(dist.table))
+                x[us >= cc[0]] = math.ulp(0.0)
         if not np.all(np.isfinite(x)):
             raise NonConvergenceError(
                 f"ccdf stays above u={us[~np.isfinite(x)][0]} up to the "
                 "largest float")
-    return float(x[0]) if np.ndim(u) == 0 else x
+    return float(x[0]) if np.ndim(u) == 0 else x.reshape(np.shape(u))
 
 
 def _closed_form_start(dist: TargetDistribution, u: np.ndarray) -> np.ndarray:
-    """The closed-form inverse at each value of a 1-d array u below the
-    CCDF's value at 0+, to rounding, or inf where it overflows.
-
-    Lognormal: exp(mu - sigma Phi^-1(u)), with Phi^-1 the C inverse of
-    statistics.NormalDist (Wichura's AS241) mapped value by value over u
-    itself, not 1 - u, so that the far tail keeps its precision. Table:
-    the interpolation of x against log ccdf read backwards, and past the
-    last row the power law through the last two rows solved for x.
+    """The Lognormal's closed-form inverse at each value of a 1-d array u,
+    to rounding, or inf where it overflows: exp(mu - sigma Phi^-1(u)), with
+    Phi^-1 the C inverse of statistics.NormalDist (Wichura's AS241) mapped
+    value by value over u itself, not 1 - u, so that the far tail keeps its
+    precision.
     """
-    if dist.kind == "lognormal":
-        # Imported here: statistics costs a fresh `import heavytail_ph.cli`
-        # 2.4 ms, and only Lognormal draws use it.
-        from statistics import NormalDist
-        z = np.fromiter(map(NormalDist().inv_cdf, u.tolist()), float, u.size)
-        with np.errstate(over="ignore"):
-            return np.exp(dist.params["mu"] - dist.params["sigma"] * z)
-    tx, cc = dist.table
-    log_u = np.log(u)
-    x = np.interp(log_u, np.log(cc[::-1]), tx[::-1])
-    tail = u < cc[-1]
+    # Imported here: statistics costs a fresh `import heavytail_ph.cli`
+    # 2.4 ms, and only Lognormal draws use it.
+    from statistics import NormalDist
+    z = np.fromiter(map(NormalDist().inv_cdf, u.tolist()), float, u.size)
     with np.errstate(over="ignore"):
-        x[tail] = tx[-1] * np.exp((log_u[tail] - math.log(cc[-1]))
-                                  / _tail_slope(dist.table))
-    return x
+        return np.exp(dist.params["mu"] - dist.params["sigma"] * z)
 
 
 def _safeguarded_newton(dist: TargetDistribution, u: np.ndarray,
                         x0: np.ndarray) -> np.ndarray:
     """Solve ccdf(x) = u at each value of a 1-d array u, by Newton steps
-    from x0 kept inside a bracket (the rtsafe scheme).
+    from x0 kept inside a bracket (the rtsafe scheme). Only the Lognormal's
+    draws take it; every other kind inverts in closed form.
 
     Each value takes the steps it would take alone: its bracket [lo, hi]
     doubles from [0, 1] until ccdf(hi) <= u (NonConvergenceError once hi

@@ -39,6 +39,8 @@ BAD_MODELS = {
 # A valid model whose stored source target is not: eval refuses it.
 BAD_TARGET_MODEL = ('{"alpha": [1.0], "A": [[-1.0]], "meta": {"source_target":'
                     ' {"kind": "pareto", "params": {"shape": -1}}}}')
+# A table with a row at negative x, which no nonnegative service time has.
+NEGATIVE_X_TABLE = "x,ccdf\n-1,0.9\n1,0.5\n2,0.1\n"
 
 SIM = ["--jobs", "2000", "--warmup", "100", "--replications", "2"]
 PARETO = ["--target", "pareto", "--shape", "3.1"]
@@ -57,6 +59,8 @@ def _model_files(root):
         path = root / f"{name}.json"
         path.write_text(text)
         models[name] = str(path)
+    models["negative-x"] = str(root / "negative-x.csv")
+    Path(models["negative-x"]).write_text(NEGATIVE_X_TABLE)
     return models
 
 
@@ -135,6 +139,7 @@ CASES = {
                                "inf", "--shape", "0.5"], 2),
     "fit-pareto-shape-inf": (["fit", "--target", "pareto", "--shape",
                               "inf"], 2),
+    "fit-csv-negative-abscissa": (["fit", "--target-csv", "{negative-x}"], 2),
     "simulate-pareto-shape-inf": (["simulate", "--target", "pareto",
                                    "--shape", "inf", *SIM], 2),
     "compare-unknown-method": (["compare", *PARETO, "--methods",
@@ -181,6 +186,8 @@ MESSAGES = {"fit-pareto-0.3-body-edge-above-grid":
             "invalid target: parameter scale must be finite and positive",
             "fit-pareto-shape-inf":
             "invalid target: parameter shape must be finite and positive",
+            "fit-csv-negative-abscissa":
+            "invalid target: table abscissae must be nonnegative",
             "simulate-pareto-shape-inf":
             "invalid target: parameter shape must be finite and positive"}
 

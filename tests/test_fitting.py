@@ -198,3 +198,31 @@ def test_fit_returns_the_hybrid_the_optimizer_scored(all_targets, name,
     assert np.array_equal(out.hybrid.weights, scored.weights)
     assert np.array_equal(out.hybrid.he.p, scored.he.p)
     assert np.array_equal(out.hybrid.he.lam, scored.he.lam)
+
+
+_PARETO_TABLE_X = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 199)])
+
+
+@pytest.mark.parametrize("method", ["bph", "he", "bph_he"])
+def test_tabulated_fit_is_scale_equivariant(method):
+    # [DERIVED] a 200-row table of Pareto(3.1) with x and the window scaled
+    # by c is the table of X c: its fit is the unscaled fit with A divided
+    # by c, and alpha, the MAE and the CV unchanged, to rounding. An
+    # absolute constant anywhere on the table's path (its density, the tail
+    # window, the body scale) breaks this at c = 1e-6.
+    fit = fitting.FIT_METHODS[method]
+    cc = (1.0 + _PARETO_TABLE_X) ** -3.1
+    ref = fit(targets_mod.TargetDistribution(
+        kind="tabulated", params={}, table=(_PARETO_TABLE_X, cc)))
+    scale = np.abs(ref.model.A).max()
+    for c in (5.0, 1e-6):
+        out = fit(targets_mod.TargetDistribution(
+            kind="tabulated", params={}, table=(c * _PARETO_TABLE_X, cc),
+            window=(0.0, c * 1e6)))
+        np.testing.assert_allclose(out.model.A * c, ref.model.A, rtol=0.0,
+                                   atol=1e-12 * scale)
+        np.testing.assert_allclose(out.model.alpha, ref.model.alpha,
+                                   rtol=0.0, atol=1e-12)
+        for name in ("mae", "cv_approx", "cv_real"):
+            assert getattr(out.report, name) == pytest.approx(
+                getattr(ref.report, name), rel=1e-12, abs=0.0), (c, name)

@@ -53,6 +53,26 @@ def test_table_must_decrease():
                            table=((1.0, 2.0), (0.5, 0.6)))
 
 
+def test_table_with_a_negative_abscissa_rejected():
+    # x is nonnegative: the CCDF is 1 at 0 and the first row's value from
+    # 0+ on. With a row at x = -1 the interpolant would read 0.67 at 0+,
+    # below the first row's 0.9, and levels between would have no x.
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        TargetDistribution(kind="tabulated", params={},
+                           table=((-1.0, 1.0, 2.0), (0.9, 0.5, 0.1)))
+
+
+def test_table_with_a_nan_rejected():
+    # NaN passes every order check, since each comparison with it is false:
+    # a table must name it as out of range.
+    for table, message in [(((0.0, math.nan, 2.0), (1.0, 0.5, 0.1)),
+                             "must be nonnegative"),
+                            (((0.0, 1.0, 2.0), (1.0, math.nan, 0.1)),
+                             "must lie in")]:
+        with pytest.raises(ValueError, match=message):
+            TargetDistribution(kind="tabulated", params={}, table=table)
+
+
 # -- closed-form values ---------------------------------------------------
 
 def test_ccdf_at_origin_is_one(all_targets):
@@ -235,11 +255,10 @@ def test_array_bisection_matches_one_value_at_a_time(dist):
     #   is the residual: |ccdf(x) - u| <= 2^-50. That allows for the CCDF's
     #   step between adjacent floats x, up to x pdf(x) 2^-52 = 2^-51 for
     #   Lognormal(-2, 0.2), and for its rounding, 2^-54 near 1.
-    # - Table: the closed-form inverse of its interpolant, also at its rows
-    #   (kinks, where the central-difference density mixes two slopes and
-    #   Newton converges only linearly), to 2e-12 relative. Above u = 0.9
-    #   there is no solution (the CCDF jumps from 1 at 0 to 0.9): x must be
-    #   a point within 1e-13 of 0.
+    # - Table: the closed-form inverse of its interpolant, also at and next
+    #   to its rows, to 1e-14 relative. Above u = 0.9 there is no solution
+    #   (the CCDF jumps from 1 at 0 to 0.9): x must be a point within 1e-13
+    #   of 0.
     # An array of u gives the float results, value by value (checked on
     # every 8th u), and a 2-d array the same values.
     tail = np.geomspace(1e-12, 0.5, 200)
@@ -258,7 +277,7 @@ def test_array_bisection_matches_one_value_at_a_time(dist):
                                  np.nextafter(rows, 1.0)])
         np.testing.assert_allclose(targets.ccdf_inverse(dist, levels),
                                    _table_inverse(dist.table, levels),
-                                   rtol=2e-12, atol=0.0)
+                                   rtol=1e-14, atol=0.0)
         assert np.all((xs[us > 0.9] > 0.0) & (xs[us > 0.9] <= 1e-13))
     assert xs[::8].tolist() == [targets.ccdf_inverse(dist, u)
                                 for u in us[::8].tolist()]
@@ -268,8 +287,8 @@ def test_array_bisection_matches_one_value_at_a_time(dist):
 
 def test_table_level_without_a_solution_takes_no_solver_step(monkeypatch):
     # At or above the first row's CCDF (0.9) the table's CCDF has no
-    # solution but x -> 0+: such a level gets the least positive float
-    # before the solve and costs no CCDF evaluation.
+    # solution but x -> 0+: such a level gets the least positive float,
+    # with no CCDF evaluation, alone or in an array.
     dist = TargetDistribution(kind="tabulated", params={}, table=_COARSE_TABLE)
     calls = []
     ccdf = targets.ccdf
@@ -277,10 +296,9 @@ def test_table_level_without_a_solution_takes_no_solver_step(monkeypatch):
                         lambda d, x: calls.append(np.size(x)) or ccdf(d, x))
     assert targets.ccdf_inverse(dist, 0.95) == math.ulp(0.0)
     assert targets.ccdf_inverse(dist, 0.9) == math.ulp(0.0)
-    assert calls == []
     xs = targets.ccdf_inverse(dist, np.array([0.99, 0.5, 0.9]))
     assert xs[[0, 2]].tolist() == [math.ulp(0.0)] * 2
-    assert max(calls) == 1  # only u = 0.5 reaches the solver
+    assert calls == []
 
 
 def test_lognormal_inverse_takes_the_array_path(monkeypatch):
@@ -307,28 +325,30 @@ def test_lognormal_inverse_takes_the_array_path(monkeypatch):
 
 
 def test_table_inverse_starts_at_the_interpolant(monkeypatch):
-    # 10,000 uniform draws on the coarse table: one float call per bracket
-    # level (10 here), then one Newton step for the 9,020 draws below the
-    # first row's CCDF, whose CCDF and central-difference density evaluate
-    # three values each. 2.7 values per draw, 14.2 from the bracket's
-    # midpoint.
+    # A table's draw is the inverse of its interpolant, in closed form:
+    # 10,000 uniform draws on the coarse table evaluate no CCDF and no
+    # density, and take no solver step.
     dist = TargetDistribution(kind="tabulated", params={}, table=_COARSE_TABLE)
     calls = []
-    ccdf = targets.ccdf
-    monkeypatch.setattr(targets, "ccdf",
-                        lambda d, x: calls.append(np.shape(x)) or ccdf(d, x))
+    for name in ("ccdf", "pdf", "_tabulated_ccdf", "_safeguarded_newton"):
+        fn = getattr(targets, name)
+        monkeypatch.setattr(targets, name, lambda *a, fn=fn, name=name:
+                            calls.append(name) or fn(*a))
     us = np.random.default_rng(0).random(10_000)
     xs = targets.ccdf_inverse(dist, us)
-    levels = 1 + math.ceil(math.log2(xs.max()))
-    assert calls[:levels] == [()] * levels
-    assert calls[levels:] == [((us < 0.9).sum(),)] * 3
-    assert sum(math.prod(shape) for shape in calls) <= 2.71 * us.size
+    assert calls == []
+    below = us < 0.9
+    np.testing.assert_allclose(xs[below], _table_inverse(dist.table,
+                                                         us[below]),
+                               rtol=1e-14, atol=0.0)
 
 
 def test_solved_draws_are_pinned():
-    # [REGRESSION] 20 draws of each solved kind at a fixed seed, exact to
-    # the bit, as recorded when the solver started at the closed-form
-    # inverse. The two table draws at u >= 0.9 are the least positive float.
+    # [REGRESSION] 20 draws of a Lognormal and of a table at a fixed seed,
+    # exact to the bit: the Lognormal's as recorded when the solver started
+    # at the closed-form inverse, the table's as recorded when its draws
+    # became the closed form alone. The two table draws at u >= 0.9 are the
+    # least positive float.
     lognormal = TargetDistribution(kind="lognormal",
                                    params={"mu": 1.0, "sigma": 2.0})
     table = TargetDistribution(kind="tabulated", params={},
@@ -344,12 +364,12 @@ def test_solved_draws_are_pinned():
         0.6407601210809589, 20.271117134328083]
     assert targets.ccdf_inverse(
         table, np.random.default_rng(43).random(20)).tolist() == [
-        1.095411248204939, 11.579180736756083, 20.865923582596142,
-        0.6293527695051746, 1.2900672684076486, 4.218576787062213,
-        0.8328302020687257, 3.6030536447953576, 1.9098487775557818,
-        1.7778987973141627, 5e-324, 0.5167194531327759, 3.391023289873271,
+        1.0954112482049392, 11.579180736756083, 20.865923582596146,
+        0.6293527695051746, 1.290067268407649, 4.218576787062212,
+        0.8328302020687259, 3.6030536447953576, 1.9098487775557818,
+        1.777898797314163, 5e-324, 0.5167194531327761, 3.39102328987327,
         3.3923867009785287, 1.9009660294080746, 39.77141403908923,
-        2.9939976740677468, 5e-324, 0.6315754286805104, 1.4616517584447166]
+        2.9939976740677468, 5e-324, 0.6315754286805106, 1.4616517584447166]
 
 
 @pytest.mark.filterwarnings("error")
@@ -702,6 +722,48 @@ def test_tabulated_flat_head_and_power_tail():
     assert targets.ccdf(dist, 0.5) == pytest.approx(0.5)
     # Power-law extension: slope -1 in log-log from the last two points.
     assert targets.ccdf(dist, 100.0) == pytest.approx(0.005, rel=1e-10)
+
+
+_FLAT_TABLE = ((1.0, 2.0, 3.0, 4.0), (0.5, 0.3, 0.3, 0.1))
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-6])
+@pytest.mark.parametrize("table", [_COARSE_TABLE, _FLAT_TABLE],
+                         ids=["coarse", "flat-interior"])
+def test_tabulated_density_is_the_slope_of_its_ccdf(table, c):
+    # [ORACLE] a central difference of the interpolated CCDF, h = 1e-7 x,
+    # away from the rows, to 1e-6 relative, with x scaled by c: the density
+    # has no absolute constant. It is exactly +0.0 before the first row and
+    # on a flat segment, and each float call equals its array value.
+    tx = np.asarray(table[0]) * c
+    dist = TargetDistribution(kind="tabulated", params={},
+                              table=(tx, table[1]))
+    xs = np.geomspace(tx[0], 10.0 * tx[-1], 2000)
+    xs = xs[np.abs(xs[:, None] / tx - 1.0).min(axis=1) > 1e-5]
+    h = 1e-7 * xs
+    slope = (targets._tabulated_ccdf(dist, xs - h)
+             - targets._tabulated_ccdf(dist, xs + h)) / (2.0 * h)
+    got = targets.pdf(dist, xs)
+    flat = slope == 0.0
+    np.testing.assert_allclose(got[~flat], slope[~flat], rtol=1e-6, atol=0.0)
+    zeros = np.concatenate([got[flat], targets.pdf(dist, np.geomspace(
+        1e-3 * tx[0], tx[0], 50, endpoint=False))])
+    assert np.all((zeros == 0.0) & ~np.signbit(zeros))
+    assert flat.any() == (table is _FLAT_TABLE)
+    assert got.tolist() == [targets.pdf(dist, x) for x in xs.tolist()]
+
+
+def test_flat_interior_segment_inverse():
+    # [ORACLE] the interpolant read backwards, on both sides of the flat
+    # segment from x = 2 to 3 at CCDF 0.3, to 1e-14 relative; at 0.3 itself
+    # any x of the segment solves it.
+    dist = TargetDistribution(kind="tabulated", params={}, table=_FLAT_TABLE)
+    us = np.concatenate([np.geomspace(1e-6, 0.3, 100, endpoint=False),
+                         np.geomspace(0.3, 0.5, 101)[1:-1]])
+    np.testing.assert_allclose(targets.ccdf_inverse(dist, us),
+                               _table_inverse(dist.table, us),
+                               rtol=1e-14, atol=0.0)
+    assert 2.0 <= targets.ccdf_inverse(dist, 0.3) <= 3.0
 
 
 def test_tables_ending_flat_are_rejected():
